@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import BlockedDesign, ModelMatrix, ModelSpec
 from .errors import (InsufficientDF, NothingToCheck, SingularMatrix)
@@ -104,19 +103,19 @@ def check_orthogonal_blocking(design: BlockedDesign, spec: ModelSpec,
     Orthogonal blocking holds exactly when each model term sums to the same
     value in every block. Ordering and interaction columns are integer
     valued and must balance exactly; component polynomial sums are compared
-    at the given tolerance.
+    at the given tolerance. Block sums are correctly rounded (math.fsum),
+    so the verdict does not depend on the order of runs within a block.
     """
     if design.n_blocks < 2:
         raise NothingToCheck(
             f"blocking needs at least 2 blocks, design has {design.n_blocks}")
-    X = build_model_matrix(design, spec)
-    blocks = [design.block_indices(b) for b in range(1, design.n_blocks + 1)]
+    X = build_model_matrix(design, replace(spec, include_block=False))
+    blocks = [list(design.block_indices(b))
+              for b in range(1, design.n_blocks + 1)]
     records = []
     for j, term in enumerate(X.columns):
-        if term == "blk":
-            continue
         col = X.data[:, j]
-        sums = tuple(float(col[list(idx)].sum()) for idx in blocks)
+        sums = tuple(math.fsum(col[idx]) for idx in blocks)
         disc = max(sums) - min(sums)
         cond = _condition_name(term)
         use_tol = 0.0 if cond in _EXACT_CONDITIONS else tol
@@ -176,16 +175,22 @@ def _column_r2(X: ModelMatrix, inv: np.ndarray) -> list[float]:
     return out
 
 
-def _power(se: float, df: int, sigma: float, alpha: float,
-           effect_sd: float) -> float:
-    tcrit = stats.t.ppf(1.0 - alpha / 2.0, df)
+def _power(se: np.ndarray, df: int, sigma: float, alpha: float,
+           effect_sd: float) -> np.ndarray:
+    """Two-sided noncentral-t power for every standard error in se.
+
+    scipy.special is imported here so that only the commands reporting
+    power load it. The upper tail uses sf(t; df, ncp) = F(-t; df, -ncp),
+    which matches scipy.stats.nct.sf bit for bit where 1 - F does not.
+    """
+    from scipy import special
+    tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
     ncp = effect_sd * sigma / se
-    hi = stats.nct.sf(tcrit, df, ncp)
-    lo = stats.nct.cdf(-tcrit, df, ncp)
-    if not np.isfinite(lo):
-        # far lower tail under a large noncentrality; negligible mass
-        lo = 0.0
-    return float(hi + lo)
+    hi = special.nctdtr(df, -ncp, -tcrit)
+    lo = special.nctdtr(df, ncp, -tcrit)
+    # far lower tail under a large noncentrality; negligible mass
+    lo = np.where(np.isfinite(lo), lo, 0.0)
+    return hi + lo
 
 
 def criteria_report(X: ModelMatrix,
@@ -205,16 +210,16 @@ def criteria_report(X: ModelMatrix,
     ses = np.sqrt(np.diag(inv))
     r2 = _column_r2(X, inv)
     df = n - p
-    cols = []
-    for j, name in enumerate(X.columns):
-        power = _power(float(ses[j]), df, 1.0, 0.05, 2.0) if df > 0 else math.nan
-        cols.append(ColumnStats(name, float(ses[j]), r2[j], power))
+    power = (_power(ses, df, 1.0, 0.05, 2.0) if df > 0
+             else np.full(p, math.nan))
+    cols = tuple(ColumnStats(name, float(se), r, float(pw))
+                 for name, se, r, pw in zip(X.columns, ses, r2, power))
     return EvalReport(
         n=n, p=p, det_xtx=float(det_m),
         d_criterion=float(det_m) ** (1.0 / p) / n,
         a_criterion=float(np.trace(inv)),
         max_pv=max_pv, avg_pv=avg_pv, g_efficiency=g_eff,
-        columns=tuple(cols))
+        columns=cols)
 
 
 @dataclass(frozen=True)
@@ -298,13 +303,10 @@ def power_table(X: ModelMatrix, sigma: float = 1.0, alpha: float = 0.05,
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}: no residual degrees of freedom")
     _, inv = named_inverse(X)
-    df = n - p
-    out: dict[str, PowerRow] = {}
-    for j, name in enumerate(X.columns):
-        se = sigma * math.sqrt(inv[j, j])
-        out[name] = PowerRow(se=se, power=_power(se, df, sigma, alpha,
-                                                 effect_sd))
-    return out
+    ses = sigma * np.sqrt(np.diag(inv))
+    power = _power(ses, n - p, sigma, alpha, effect_sd)
+    return {name: PowerRow(se=float(se), power=float(pw))
+            for name, se, pw in zip(X.columns, ses, power)}
 
 
 def term_r_squared(X: ModelMatrix) -> dict[str, float]:

@@ -4,7 +4,8 @@ Canonical column order: intercept, linear terms, pure quadratic terms,
 cross products, amount-multiplied copies of the mixture terms grouped by
 power of A, pairwise-ordering columns z_jk, component-by-ordering
 interaction columns in ModelSpec.interaction_terms order, and finally the block
-column coded -1 (block 1) / +1 (block 2).
+column coded -1 (block 1) / +1 (block 2). One column cannot separate more
+than two blocks, so requesting it for such a design raises Unsupported.
 
 Two bases are available. build_model_matrix uses the run values exactly as
 stored. coded_model_matrix first maps every component affinely onto [-1, 1]
@@ -176,6 +177,10 @@ def _row(run: Run, spec: ModelSpec, m: int, kind: str, basis: str,
 
 def _build(design: BlockedDesign, spec: ModelSpec, basis: str) -> ModelMatrix:
     _check_kind(design, spec)
+    if spec.include_block and design.n_blocks > 2:
+        raise Unsupported(
+            f"the block column codes 2 blocks as -1/+1; the design has "
+            f"{design.n_blocks} blocks")
     names = column_names(spec, design.m)
     scale = 1.0
     if basis == "coded" and design.kind == "amount":

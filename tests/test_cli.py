@@ -1,10 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oamix.catalog import czitrom_d_oofa, component_amount_projection_design
 from oamix.cli import main
+from oamix.core import BlockedDesign, Run
 from oamix.serialize import parse_design_csv, write_design_csv
 
 
@@ -205,3 +209,33 @@ def test_amount_columns_need_amount_header(tmp_path, capsys):
 def test_kind_model_mismatch_is_data_error(tmp_path, capsys):
     t3 = catalog_file(tmp_path, "czitrom-d-oofa")
     assert run_cli("eval", "-i", str(t3), "--model", "ca-q") == 3
+
+
+def test_block_column_with_three_blocks_is_rejected(tmp_path, capsys):
+    runs = tuple(Run(r.values, r.pwo, 1 + k % 3)
+                 for k, r in enumerate(czitrom_d_oofa().runs))
+    three = tmp_path / "three.csv"
+    three.write_text(write_design_csv(BlockedDesign(
+        m=3, kind="proportion", runs=runs, n_blocks=3, as_printed=True)))
+    assert run_cli("eval", "-i", str(three), "--model", "scheffe-q") == 3
+    assert "3 blocks" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """Argument lists of every `oamix ...` line in the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("oamix ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "y.csv").write_text(
+        "y\n" + "\n".join(str(1.0 + 0.1 * k) for k in range(24)) + "\n")
+    commands = readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        assert run_cli(*argv) == 0, argv

@@ -2,12 +2,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import mc_t_test_power
-from oamix.catalog import (component_amount_projection_design, czitrom_d_oofa,
-                           czitrom_d_optimal, oofa_expand)
+from oamix.catalog import (aggarwal_a_oofa, component_amount_projection_design,
+                           czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
 from oamix.core import BlockedDesign, ModelMatrix, ModelSpec, Run
-from oamix.errors import InsufficientDF, NothingToCheck, SingularMatrix
+from oamix.errors import (InsufficientDF, NothingToCheck, SingularMatrix,
+                          Unsupported)
 from oamix.evaluate import (check_orthogonal_blocking, criteria_report,
                             fds_curve, power_table, prediction_variance,
                             term_r_squared)
@@ -75,6 +77,70 @@ def test_blocking_fails_with_named_condition():
     failed = {c.condition for c in report.failed()}
     assert "component_sum" in failed
     assert "pwo_sum" in failed
+
+
+BLOCKED_CASES = (
+    (czitrom_d_oofa(), scheffe_spec()),
+    (aggarwal_a_oofa(), ModelSpec("k_quadratic", include_pwo=True,
+                                  interaction_terms=default_interaction_subset(3),
+                                  include_block=True)),
+)
+
+
+def _reordered(design, order, swap=None):
+    """The design's runs in the given order, each keeping its block unless
+    it is one of the pair in swap, whose blocks are exchanged."""
+    runs = list(design.runs)
+    if swap is not None:
+        i, j = swap
+        runs[i] = Run(runs[i].values, runs[i].pwo, runs[j].block)
+        runs[j] = Run(runs[j].values, runs[j].pwo, design.runs[i].block)
+    return BlockedDesign(m=design.m, kind=design.kind,
+                         runs=tuple(runs[k] for k in order),
+                         n_blocks=design.n_blocks, as_printed=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(BLOCKED_CASES),
+       order=st.permutations(range(24)))
+def test_blocking_verdict_ignores_run_order(case, order):
+    design, spec = case
+    base = check_orthogonal_blocking(design, spec)
+    shuffled = check_orthogonal_blocking(_reordered(design, order), spec)
+    assert base.passed and shuffled.passed
+    assert shuffled.conditions == base.conditions
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(BLOCKED_CASES),
+       order=st.permutations(range(24)),
+       i=st.integers(0, 11), j=st.integers(12, 23))
+def test_blocking_fails_when_blends_cross_blocks(case, order, i, j):
+    design, spec = case
+    assert design.runs[i].block == 1 and design.runs[j].block == 2
+    assume(design.runs[i].values != design.runs[j].values)
+    report = check_orthogonal_blocking(
+        _reordered(design, order, swap=(i, j)), spec)
+    assert not report.passed
+    # the blends differ, so some mixture term fails, not only ordering ones
+    failed = {c.condition for c in report.failed()}
+    assert failed - {"pwo_sum", "interaction_sum"}
+
+
+def test_block_column_rejects_more_than_two_blocks():
+    d = czitrom_d_oofa()
+    runs = tuple(Run(r.values, r.pwo, 1 + k % 3) for k, r in enumerate(d.runs))
+    three = BlockedDesign(m=3, kind="proportion", runs=runs, n_blocks=3,
+                          as_printed=True)
+    with pytest.raises(Unsupported, match="3 blocks"):
+        build_model_matrix(three, scheffe_spec())
+    # without the block column the design is fine, and the blocking check
+    # never needs that column
+    X = build_model_matrix(three, scheffe_spec(block=False))
+    assert "blk" not in X.columns
+    report = check_orthogonal_blocking(three, scheffe_spec())
+    assert len(report.conditions) == X.p
+    assert all(len(c.block_sums) == 3 for c in report.conditions)
 
 
 def test_blocking_single_block_raises():
