@@ -4,9 +4,9 @@ design evaluation, and least-squares fitting."""
 
 from .core import (BlockedDesign, ModelMatrix, ModelSpec, Permutation, Run,
                    Violation, pair_indices, validate_design)
-from .catalog import (CATALOG, ExpansionPolicy, aggarwal_a_oofa,
-                      aggarwal_a_optimal, component_amount_projection_design,
-                      czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
+from .catalog import (CATALOG, aggarwal_a_oofa, aggarwal_a_optimal,
+                      component_amount_projection_design, czitrom_d_oofa,
+                      czitrom_d_optimal, oofa_expand)
 from .evaluate import (BlockingReport, EvalReport, FDSCurve,
                        check_orthogonal_blocking, criteria_report, fds_curve,
                        power_table, prediction_variance, term_r_squared)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockedDesign", "ModelMatrix", "ModelSpec", "Permutation", "Run",
     "Violation", "pair_indices", "validate_design",
-    "CATALOG", "ExpansionPolicy", "aggarwal_a_oofa", "aggarwal_a_optimal",
+    "CATALOG", "aggarwal_a_oofa", "aggarwal_a_optimal",
     "component_amount_projection_design", "czitrom_d_oofa",
     "czitrom_d_optimal", "oofa_expand",
     "BlockingReport", "EvalReport", "FDSCurve", "check_orthogonal_blocking",

@@ -14,10 +14,8 @@ published analyses digit for digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import BlockedDesign, Run
-from .errors import AlreadyExpanded, InvalidAmount, SpecError
+from .errors import AlreadyExpanded, InvalidAmount
 from .pwo import enumerate_orderings
 
 # rows: (x1, x2, x3, block)
@@ -180,30 +178,7 @@ def aggarwal_a_oofa() -> BlockedDesign:
     return _proportion_design(_AGGARWAL_OOFA, with_pwo=True)
 
 
-@dataclass(frozen=True)
-class ExpansionPolicy:
-    """How many orderings each run contributes under oofa_expand.
-
-    Single-support runs admit exactly one (trivial, all-zero) ordering
-    whichever option is chosen; the field exists to make that explicit.
-    Two-support and full-support runs always take all orderings.
-    """
-
-    vertex_orders: str = "all"
-    edge_orders: str = "all"
-    interior_orders: str = "all"
-
-    def __post_init__(self):
-        if self.vertex_orders not in ("all", "none"):
-            raise SpecError(f"vertex_orders: {self.vertex_orders!r}")
-        if self.edge_orders != "all":
-            raise SpecError(f"edge_orders: {self.edge_orders!r}")
-        if self.interior_orders != "all":
-            raise SpecError(f"interior_orders: {self.interior_orders!r}")
-
-
-def oofa_expand(base: BlockedDesign,
-                policy: ExpansionPolicy = ExpansionPolicy()) -> BlockedDesign:
+def oofa_expand(base: BlockedDesign) -> BlockedDesign:
     """Replace each run of an unordered design by one run per addition order.
 
     Runs stay in their blocks; base run order is kept, and each run's

@@ -65,8 +65,8 @@ class Unsupported(OamixError):
 class SingularMatrix(OamixError):
     """A matrix required to be invertible is singular to working precision.
 
-    Carries the indices (pivot order) of the columns at which elimination
-    failed, and optionally the corresponding column names.
+    Carries the indices of the columns that depend on the columns before
+    them, and optionally the corresponding column names.
     """
 
     def __init__(self, message: str, offending: tuple[int, ...] = (),

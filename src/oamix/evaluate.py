@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import BlockedDesign, ModelMatrix, ModelSpec
 from .errors import (InsufficientDF, NothingToCheck, SingularMatrix)
-from .linalg import lu_det_inv, xtx
+from .linalg import Factor, det_xtx, factor, inverse
 from .modelmat import build_model_matrix, model_row
 from .pwo import pwo_from_run
 
@@ -44,11 +44,10 @@ CONVENTION_NOTES = (
 )
 
 
-def named_inverse(X: ModelMatrix) -> tuple[float, np.ndarray]:
-    """det and inverse of X'X; singularity reports offending column names."""
-    M = xtx(X.data)
+def named_factor(X: ModelMatrix) -> Factor:
+    """The factorization of X; singularity reports offending column names."""
     try:
-        return lu_det_inv(M)
+        return factor(X.data)
     except SingularMatrix as e:
         names = tuple(X.columns[i] for i in e.offending
                       if i < len(X.columns))
@@ -156,23 +155,19 @@ class EvalReport:
     notes: tuple[str, ...] = CONVENTION_NOTES
 
 
-def _point_variances(X_data: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk,ik->i", X_data, inv, X_data)
+def _point_variances(rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """v'(X'X)^-1 v for every row v."""
+    return np.sum((rows @ inv) * rows, axis=1)
 
 
 def _column_r2(X: ModelMatrix, inv: np.ndarray) -> list[float]:
-    centered = "1" in X.columns
-    out = []
-    for j, name in enumerate(X.columns):
-        rss = 1.0 / inv[j, j]
-        col = X.data[:, j]
-        if centered and name != "1":
-            t = col - col.mean()
-        else:
-            t = col
-        tss = float(t @ t)
-        out.append(1.0 - rss / tss if tss > 1e-300 else math.nan)
-    return out
+    T = X.data
+    if "1" in X.columns:
+        # centre every column but the intercept about its mean
+        T = T - np.where(np.array(X.columns) == "1", 0.0, T.mean(axis=0))
+    tss = np.sum(T * T, axis=0)
+    tss[tss <= 1e-300] = math.nan
+    return (1.0 - (1.0 / np.diag(inv)) / tss).tolist()
 
 
 def _power(se: np.ndarray, df: int, sigma: float, alpha: float,
@@ -200,7 +195,8 @@ def criteria_report(X: ModelMatrix,
     max_pv and avg_pv are taken over the design's own rows unless an
     explicit point set (rows in the same column basis) is supplied.
     """
-    det_m, inv = named_inverse(X)
+    f = named_factor(X)
+    det_m, inv = det_xtx(f), inverse(f)
     n, p = X.n, X.p
     pts = X.data if eval_points is None else np.asarray(eval_points, float)
     pv = _point_variances(pts, inv)
@@ -256,7 +252,7 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     X = build_model_matrix(design, spec)
-    _, inv = named_inverse(X)
+    inv = inverse(named_factor(X))
     m = design.m
     perms = list(itertools.permutations(range(1, m + 1)))
     levels = design.amount_levels()
@@ -302,7 +298,7 @@ def power_table(X: ModelMatrix, sigma: float = 1.0, alpha: float = 0.05,
     n, p = X.n, X.p
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}: no residual degrees of freedom")
-    _, inv = named_inverse(X)
+    inv = inverse(named_factor(X))
     ses = sigma * np.sqrt(np.diag(inv))
     power = _power(ses, n - p, sigma, alpha, effect_sd)
     return {name: PowerRow(se=float(se), power=float(pw))
@@ -318,5 +314,5 @@ def term_r_squared(X: ModelMatrix) -> dict[str, float]:
     """
     if X.p < 2:
         raise ValueError("need at least 2 columns")
-    _, inv = named_inverse(X)
+    inv = inverse(named_factor(X))
     return dict(zip(X.columns, _column_r2(X, inv)))

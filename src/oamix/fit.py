@@ -8,8 +8,8 @@ import numpy as np
 
 from .core import ModelMatrix
 from .errors import InsufficientDF, SchemaError
-from .evaluate import named_inverse, prediction_variance
-from .linalg import solve, xtx
+from .evaluate import _point_variances, named_factor
+from .linalg import inverse, lstsq
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,8 @@ class FitResult:
         return self.estimates[self.columns.index(name)]
 
 
-def _constant_in_span(X: np.ndarray) -> bool:
-    # least-squares projection of the all-ones vector onto the columns
-    ones = np.ones(X.shape[0])
-    coef, *_ = np.linalg.lstsq(X, ones, rcond=None)
-    return bool(np.max(np.abs(X @ coef - ones)) <= 1e-8)
-
-
 def ols_fit(X: ModelMatrix, y) -> FitResult:
-    """Least-squares fit via the normal equations.
+    """Least-squares fit from one factorization of the model matrix.
 
     Residuals are orthogonal to every column; se comes from
     sigma_hat^2 * diag((X'X)^-1). R-squared is computed about the response
@@ -49,15 +42,17 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
         raise SchemaError(f"response length {y.shape} does not match n={n}")
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}")
-    _, inv = named_inverse(X)  # raises SingularMatrix with column names
-    beta = solve(xtx(X.data), X.data.T @ y)
+    f = named_factor(X)  # raises SingularMatrix with column names
+    inv = inverse(f)
+    beta = lstsq(f, y)
     fitted = X.data @ beta
     resid = y - fitted
     rss = float(resid @ resid)
     df = n - p
     sigma_hat = np.sqrt(rss / df)
     se = sigma_hat * np.sqrt(np.diag(inv))
-    if _constant_in_span(X.data):
+    ones = np.ones(n)  # the columns span a constant if ones fits exactly
+    if np.max(np.abs(X.data @ lstsq(f, ones) - ones)) <= 1e-8:
         tss = float(np.sum((y - y.mean()) ** 2))
     else:
         tss = float(y @ y)
@@ -82,7 +77,6 @@ def predict(fit: FitResult, X_new: ModelMatrix) -> tuple[np.ndarray, np.ndarray]
             f"{X_new.columns}")
     beta = np.array(fit.estimates)
     values = X_new.data @ beta
-    variances = np.array([
-        fit.sigma_hat ** 2 * prediction_variance(fit.info_inv, row)
-        for row in X_new.data])
+    variances = fit.sigma_hat ** 2 * _point_variances(X_new.data,
+                                                      fit.info_inv)
     return values, variances

@@ -1,127 +1,112 @@
-"""Dense linear-algebra kernel: LU with partial pivoting, determinant,
-inverse, solve, and rank detection.
+"""Dense linear-algebra kernel: one factorization per model matrix.
 
-Matrices are numpy float arrays (row-major, 64-bit). The elimination logic
-lives here rather than delegating to a factorization library because every
-downstream quantity (determinants, inverses, offending-column reports for
-singular model matrices) flows through this one code path.
+The columns of X are first equilibrated to unit norm, Xs = X D^-1, so the
+result does not depend on the units of the columns. Householder QR of Xs
+gives the p x p triangle R (Q is never formed), and the SVD R = U S V'
+gives everything downstream: the rank, det(X'X), (X'X)^-1, least-squares
+solves, and the columns to blame when X is rank deficient (Golub & Van
+Loan, Matrix Computations, ch. 5).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularMatrix
 
-# base threshold for an unscaled matrix; scaled by the largest entry so
-# mg-scale information matrices are judged relative to their own magnitude
-PIVOT_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
-def _pivot_tol(M: np.ndarray) -> float:
-    scale = float(np.max(np.abs(M))) if M.size else 0.0
-    return PIVOT_TOL * max(1.0, scale)
+class Factor(NamedTuple):
+    """The factorization of a full-rank n x p model matrix X."""
+
+    Xs: np.ndarray     # X D^-1, every column of unit norm
+    norms: np.ndarray  # the column norms D
+    s: np.ndarray      # singular values of Xs, descending
+    W: np.ndarray      # V S^-1, so that (Xs'Xs)^-1 = W W'
 
 
-def xtx(X: np.ndarray) -> np.ndarray:
-    """X'X, symmetrized against summation-order roundoff."""
+def _triangle(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Xs, D and the R factor of Xs."""
     X = np.asarray(X, dtype=float)
-    M = X.T @ X
-    return (M + M.T) * 0.5
-
-
-def dependent_columns(M: np.ndarray, tol: float | None = None) -> tuple[int, ...]:
-    """Indices of columns linearly dependent on the columns before them.
-
-    Row-echelon elimination scanning columns left to right; a column whose
-    best available pivot falls below tol contributes no new direction and is
-    reported. Works on rectangular matrices.
-    """
-    A = np.array(M, dtype=float)
-    if A.ndim != 2:
+    if X.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    if tol is None:
-        tol = _pivot_tol(A)
-    rows, cols = A.shape
-    r = 0
-    dep = []
-    for c in range(cols):
-        if r >= rows:
-            dep.append(c)
-            continue
-        i = r + int(np.argmax(np.abs(A[r:, c])))
-        if abs(A[i, c]) < tol:
-            dep.append(c)
-            continue
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r + 1:, c + 1:] -= np.outer(A[r + 1:, c] / A[r, c], A[r, c + 1:])
-        A[r + 1:, c] = 0.0
-        r += 1
+    norms = np.linalg.norm(X, axis=0)
+    norms[norms == 0] = 1.0  # a zero column stays zero, so the rank drops
+    Xs = X / norms
+    return Xs, norms, np.linalg.qr(Xs, mode="r")
+
+
+def _tol(s: np.ndarray, shape: tuple[int, int]) -> float:
+    """Singular values at or below this are taken as zero."""
+    return float(s.max(initial=0.0)) * max(shape) * _EPS
+
+
+def _dependent(R: np.ndarray, tol: float) -> tuple[int, ...]:
+    # Xs[:, :k] and R[:k, :k] share their singular values: a column adds
+    # no direction when the rank of its prefix does not grow
+    dep, r = [], 0
+    for k in range(R.shape[1]):
+        sk = np.linalg.svd(R[:k + 1, :k + 1], compute_uv=False)
+        rk = int(np.count_nonzero(sk > tol))
+        if rk == r:
+            dep.append(k)
+        r = rk
     return tuple(dep)
 
 
-def rank(M: np.ndarray, tol: float | None = None) -> int:
-    M = np.asarray(M, dtype=float)
-    return M.shape[1] - len(dependent_columns(M, tol))
+def dependent_columns(X) -> tuple[int, ...]:
+    """Indices of the columns of X that depend on the columns before them."""
+    Xs, _, R = _triangle(X)
+    s = np.linalg.svd(R, compute_uv=False)
+    return _dependent(R, _tol(s, Xs.shape))
 
 
-def lu_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """LU factorization with partial row pivoting.
+def rank(X) -> int:
+    """Numerical rank of X after equilibration."""
+    return np.shape(X)[1] - len(dependent_columns(X))
 
-    Returns (LU, perm, sign): LU packs the unit-lower and upper factors,
-    perm is the row permutation applied, sign its parity. Raises
-    SingularMatrix (with the offending columns in pivot order) when any
-    pivot falls below threshold.
+
+def factor(X) -> Factor:
+    """Factor X once; SingularMatrix names the dependent columns.
+
+    The rank counts the singular values of Xs above s_max*max(n, p)*eps.
     """
-    A = np.array(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("LU factorization requires a square matrix")
-    p = A.shape[0]
-    tol = _pivot_tol(A)
-    perm = np.arange(p)
-    sign = 1.0
-    for k in range(p):
-        i = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[i, k]) < tol:
-            dep = dependent_columns(np.asarray(M, dtype=float), tol)
-            raise SingularMatrix(
-                f"pivot {abs(A[i, k]):.3e} below threshold at column {k}",
-                offending=dep if dep else (k,))
-        if i != k:
-            A[[k, i]] = A[[i, k]]
-            perm[[k, i]] = perm[[i, k]]
-            sign = -sign
-        A[k + 1:, k] /= A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-    return A, perm, sign
+    Xs, norms, R = _triangle(X)
+    _, s, Vt = np.linalg.svd(R)
+    p = Xs.shape[1]
+    tol = _tol(s, Xs.shape)
+    r = int(np.count_nonzero(s > tol))
+    if r < p:
+        cond = s[0] / s[-1] if s.size == p and s[-1] > 0 else np.inf
+        raise SingularMatrix(
+            f"model matrix has rank {r} of {p} columns (equilibrated "
+            f"condition number {cond:.3g})", offending=_dependent(R, tol))
+    return Factor(Xs=Xs, norms=norms, s=s, W=Vt.T / s)
 
 
-def _solve_factored(LU: np.ndarray, perm: np.ndarray, B: np.ndarray) -> np.ndarray:
-    Y = np.array(B, dtype=float)[perm]
-    p = LU.shape[0]
-    for k in range(1, p):              # forward: L y = P b
-        Y[k] -= LU[k, :k] @ Y[:k]
-    for k in range(p - 1, -1, -1):     # back: U x = y
-        Y[k] -= LU[k, k + 1:] @ Y[k + 1:]
-        Y[k] /= LU[k, k]
-    return Y
+def det_xtx(f: Factor) -> float:
+    """det(X'X) = det(D)^2 * prod(s)^2."""
+    return float(np.prod((f.s * f.norms) ** 2))
 
 
-def lu_det_inv(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Determinant (from LU pivots, signed) and inverse (column solves)."""
-    LU, perm, sign = lu_factor(M)
-    det = sign * float(np.prod(np.diag(LU)))
-    inv = _solve_factored(LU, perm, np.eye(LU.shape[0]))
-    return det, inv
+def inverse(f: Factor) -> np.ndarray:
+    """(X'X)^-1 = D^-1 W W' D^-1, symmetric by construction."""
+    Wd = f.W / f.norms[:, None]
+    return Wd @ Wd.T
 
 
-def det(M: np.ndarray) -> float:
-    LU, _, sign = lu_factor(M)
-    return sign * float(np.prod(np.diag(LU)))
+def lstsq(f: Factor, y) -> np.ndarray:
+    """Coefficients b minimizing |X b - y|, in the units of X.
 
-
-def solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b for square nonsingular M."""
-    LU, perm, _ = lu_factor(M)
-    return _solve_factored(LU, perm, np.asarray(b, dtype=float))
+    Corrected semi-normal equations: solve R'R x = Xs'y, then one
+    refinement step on the residual, which restores the accuracy of a QR
+    solve without forming Q.
+    """
+    y = np.asarray(y, dtype=float)
+    x = f.W @ (f.W.T @ (f.Xs.T @ y))
+    r = y - f.Xs @ x
+    x += f.W @ (f.W.T @ (f.Xs.T @ r))
+    return x / f.norms

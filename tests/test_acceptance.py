@@ -20,7 +20,7 @@ from oamix.core import BlockedDesign, ModelSpec, Run
 from oamix.evaluate import (check_orthogonal_blocking, criteria_report,
                             fds_curve, power_table, term_r_squared)
 from oamix.fit import ols_fit
-from oamix.linalg import det, lu_det_inv, xtx
+from oamix.linalg import det_xtx, factor, inverse
 from oamix.modelmat import (build_model_matrix, coded_model_matrix,
                             default_interaction_subset, model_row)
 from oamix.pwo import (enumerate_orderings, permutation_from_pwo,
@@ -193,12 +193,12 @@ def test_criterion_09_linear_algebra_against_cofactor_oracle():
     for trial in range(200):
         size = trial % 6 + 1
         M = rng.standard_normal((size, size))
-        d_oracle = cofactor_det(M)
-        assert abs(det(M) - d_oracle) <= 1e-9 * max(1.0, abs(d_oracle))
-        _, inv = lu_det_inv(M)
-        inv_oracle = cofactor_inverse(M)
+        f = factor(M)
+        d_oracle = cofactor_det(M.T @ M)
+        assert abs(det_xtx(f) - d_oracle) <= 1e-9 * max(1.0, abs(d_oracle))
+        inv_oracle = cofactor_inverse(M.T @ M)
         scale = max(1.0, float(np.abs(inv_oracle).max()))
-        assert float(np.abs(inv - inv_oracle).max()) <= 1e-9 * scale
+        assert float(np.abs(inverse(f) - inv_oracle).max()) <= 1e-9 * scale
 
 
 def test_criterion_10_ols_recovery_orthogonality_block_invariance():
@@ -242,7 +242,7 @@ def test_criterion_11_fds_determinism_and_lattice_bound(tmp_path):
     # exhaustive cover of the sampled space: 21-level simplex lattice at
     # every design amount level, all six orderings, both blocks
     X = build_model_matrix(design, spec)
-    _, inv = lu_det_inv(xtx(X.data))
+    inv = inverse(factor(X.data))
     orderings = [pwo_from_permutation(p, 3) for p in permutations((1, 2, 3))]
     oracle_max = 0.0
     for i in range(21):

@@ -3,12 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oamix.catalog import (CATALOG, ExpansionPolicy, aggarwal_a_oofa,
-                           aggarwal_a_optimal,
+from oamix.catalog import (CATALOG, aggarwal_a_oofa, aggarwal_a_optimal,
                            component_amount_projection_design,
                            czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
 from oamix.core import BlockedDesign, Run, validate_design
-from oamix.errors import AlreadyExpanded, InvalidAmount, SpecError
+from oamix.errors import AlreadyExpanded, InvalidAmount
 
 
 def test_every_catalog_design_validates():
@@ -103,14 +102,6 @@ def test_expand_pwo_columns_balance_within_blocks():
     for b in (1, 2):
         sums = np.sum([r.pwo for r in expanded.runs if r.block == b], axis=0)
         assert np.array_equal(sums, [0, 0, 0])
-
-
-def test_expansion_policy_options():
-    ExpansionPolicy("none", "all", "all")
-    with pytest.raises(SpecError):
-        ExpansionPolicy(vertex_orders="some")
-    with pytest.raises(SpecError):
-        ExpansionPolicy(edge_orders="none")
 
 
 def test_ca_projection_unit_scale():

@@ -13,6 +13,7 @@ from oamix.errors import (InsufficientDF, NothingToCheck, SingularMatrix,
 from oamix.evaluate import (check_orthogonal_blocking, criteria_report,
                             fds_curve, power_table, prediction_variance,
                             term_r_squared)
+from oamix.fit import ols_fit
 from oamix.modelmat import build_model_matrix, default_interaction_subset
 
 # two-sided t-test power at se=0.5, sigma=1, effect 2 sigma, df=3, alpha 5%
@@ -193,6 +194,36 @@ def test_criteria_report_names_offending_columns():
     with pytest.raises(SingularMatrix) as exc:
         criteria_report(X)
     assert "twin" in exc.value.names
+
+
+def test_unexpanded_design_names_only_the_ordering_columns():
+    # without expansion every ordering column is zero; blk stays independent
+    X = build_model_matrix(czitrom_d_optimal(), scheffe_spec())
+    with pytest.raises(SingularMatrix) as exc:
+        criteria_report(X)
+    assert exc.value.names == ("z12", "z13", "z23", "x1*z12", "x1*z13",
+                               "x2*z23")
+
+
+CA_SPEC = ModelSpec("component_amount_quadratic", include_pwo=True,
+                    interaction_terms=default_interaction_subset(3),
+                    include_block=True)
+CA_UNIT_G = criteria_report(build_model_matrix(
+    component_amount_projection_design(1.0), CA_SPEC)).g_efficiency
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_a_max=st.floats(-2.0, 5.0))
+def test_ca_projection_results_do_not_depend_on_the_amount_unit(log_a_max):
+    X = build_model_matrix(component_amount_projection_design(10 ** log_a_max),
+                           CA_SPEC)
+    assert criteria_report(X).g_efficiency == pytest.approx(CA_UNIT_G,
+                                                            rel=1e-9)
+    # planted coefficients, one per unit-norm column
+    norms = np.linalg.norm(X.data, axis=0)
+    planted = np.linspace(-1.0, 1.0, X.p)
+    fit = ols_fit(X, X.data @ (planted / norms))
+    assert np.max(np.abs(np.array(fit.estimates) * norms - planted)) <= 1e-10
 
 
 def test_fds_single_sample():

@@ -3,32 +3,20 @@ import pytest
 
 from _oracles import cofactor_det, cofactor_inverse
 from oamix.errors import SingularMatrix
-from oamix.linalg import (dependent_columns, det, lu_det_inv, rank, solve,
-                          xtx)
+from oamix.linalg import (dependent_columns, det_xtx, factor, inverse, lstsq,
+                          rank)
 
 
-def test_xtx_trivial():
-    assert xtx(np.array([[1.0], [1.0]])) == np.array([[2.0]])
-    assert np.array_equal(xtx(np.eye(3)), np.eye(3))
+def test_det_inv_diagonal():
+    f = factor(np.diag([2.0, 4.0]))
+    assert det_xtx(f) == pytest.approx(64.0)
+    assert np.allclose(inverse(f), np.diag([0.25, 0.0625]))
 
 
-def test_xtx_is_symmetric():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(30, 7))
-    M = xtx(X)
-    assert np.array_equal(M, M.T)
-
-
-def test_lu_det_inv_diagonal():
-    d, inv = lu_det_inv(np.diag([2.0, 4.0]))
-    assert d == pytest.approx(8.0)
-    assert np.allclose(inv, np.diag([0.5, 0.25]))
-
-
-def test_lu_det_inv_identity():
-    d, inv = lu_det_inv(np.eye(5))
-    assert d == pytest.approx(1.0)
-    assert np.allclose(inv, np.eye(5))
+def test_det_inv_identity():
+    f = factor(np.eye(5))
+    assert det_xtx(f) == pytest.approx(1.0)
+    assert np.allclose(inverse(f), np.eye(5))
 
 
 def test_det_matches_cofactor_oracle():
@@ -36,26 +24,38 @@ def test_det_matches_cofactor_oracle():
     for _ in range(25):
         n = int(rng.integers(1, 6))
         M = rng.uniform(-1, 1, (n, n))
-        assert det(M) == pytest.approx(cofactor_det(M), rel=1e-10, abs=1e-12)
+        assert det_xtx(factor(M)) == pytest.approx(cofactor_det(M.T @ M),
+                                                   rel=1e-10, abs=1e-12)
+
+
+def test_inverse_matches_cofactor_oracle():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        M = rng.uniform(-1, 1, (9, 5))
+        inv_oracle = cofactor_inverse(M.T @ M)
+        scale = max(1.0, float(np.abs(inv_oracle).max()))
+        assert np.max(np.abs(inverse(factor(M)) - inv_oracle)) <= 1e-9 * scale
 
 
 def test_inverse_residual_small():
     rng = np.random.default_rng(13)
     for _ in range(10):
         M = rng.uniform(-1, 1, (8, 8)) + 8 * np.eye(8)
-        _, inv = lu_det_inv(M)
-        assert np.max(np.abs(M @ inv - np.eye(8))) <= 1e-8
+        inv = inverse(factor(M))
+        assert np.max(np.abs(M.T @ M @ inv - np.eye(8))) <= 1e-8
 
 
-def test_solve_trivial_and_round_trip():
-    assert np.allclose(solve(np.eye(3), [1, 2, 3]), [1, 2, 3])
-    assert np.allclose(solve(np.array([[2.0, 0], [0, 4.0]]), [2, 8]), [1, 2])
+def test_lstsq_trivial_and_round_trip():
+    assert np.allclose(lstsq(factor(np.eye(3)), [1, 2, 3]), [1, 2, 3])
+    assert np.allclose(lstsq(factor(np.diag([2.0, 4.0])), [2, 8]), [1, 2])
     rng = np.random.default_rng(17)
-    A = rng.normal(size=(6, 6))
-    spd = A @ A.T + 6 * np.eye(6)
-    b = rng.normal(size=6)
-    x = solve(spd, b)
-    assert np.max(np.abs(spd @ x - b)) <= 1e-9
+    X = rng.normal(size=(20, 6))
+    beta = rng.normal(size=6)
+    assert np.max(np.abs(lstsq(factor(X), X @ beta) - beta)) <= 1e-12
+    y = rng.normal(size=20)
+    b = lstsq(factor(X), y)
+    assert np.max(np.abs(X.T @ (y - X @ b))) <= 1e-12
+    assert np.allclose(b, np.linalg.lstsq(X, y, rcond=None)[0], atol=1e-12)
 
 
 def test_det_properties():
@@ -63,23 +63,39 @@ def test_det_properties():
     for _ in range(10):
         A = rng.uniform(-1, 1, (4, 4))
         B = rng.uniform(-1, 1, (4, 4))
-        assert det(A.T) == pytest.approx(det(A), rel=1e-9, abs=1e-12)
-        assert det(A @ B) == pytest.approx(det(A) * det(B), rel=1e-9,
-                                           abs=1e-12)
+        assert det_xtx(factor(A.T)) == pytest.approx(det_xtx(factor(A)),
+                                                     rel=1e-9, abs=1e-12)
+        assert det_xtx(factor(A @ B)) == pytest.approx(
+            det_xtx(factor(A)) * det_xtx(factor(B)), rel=1e-9, abs=1e-12)
 
 
-def test_row_swap_flips_det_sign():
+def test_row_and_column_order_leave_det_unchanged():
     rng = np.random.default_rng(23)
     A = rng.uniform(-1, 1, (5, 5))
-    swapped = A[[1, 0, 2, 3, 4]]
-    assert det(swapped) == pytest.approx(-det(A), rel=1e-9)
+    d = det_xtx(factor(A))
+    assert det_xtx(factor(A[[1, 0, 2, 3, 4]])) == pytest.approx(d, rel=1e-9)
+    assert det_xtx(factor(A[:, [1, 0, 2, 3, 4]])) == pytest.approx(d,
+                                                                   rel=1e-9)
+
+
+def test_column_units_do_not_change_the_answer():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(12, 4))
+    units = np.array([1e-6, 1.0, 1e3, 1e8])
+    f, fu = factor(X), factor(X * units)
+    assert det_xtx(fu) == pytest.approx(det_xtx(f) * np.prod(units) ** 2,
+                                        rel=1e-12)
+    assert np.allclose(inverse(fu) * np.outer(units, units), inverse(f),
+                       rtol=1e-12, atol=0)
+    y = rng.normal(size=12)
+    assert np.allclose(lstsq(fu, y) * units, lstsq(f, y), rtol=1e-12,
+                       atol=0)
 
 
 def test_symmetric_inverse_is_symmetric():
     rng = np.random.default_rng(29)
-    A = rng.normal(size=(7, 7))
-    M = A @ A.T + 7 * np.eye(7)
-    _, inv = lu_det_inv(M)
+    A = rng.normal(size=(7, 7)) + 7 * np.eye(7)
+    inv = inverse(factor(A))
     assert np.max(np.abs(inv - inv.T)) <= 1e-10
 
 
@@ -87,8 +103,15 @@ def test_singular_matrix_reports_offending_columns():
     col = np.array([1.0, 2.0, 3.0])
     M = np.column_stack([col, 2 * col, np.array([0.0, 1.0, 0.0])])
     with pytest.raises(SingularMatrix) as exc:
-        lu_det_inv(xtx(M))
-    assert 1 in exc.value.offending
+        factor(M)
+    assert exc.value.offending == (1,)
+    assert "rank 2 of 3" in str(exc.value)
+
+
+def test_more_columns_than_rows_is_singular():
+    with pytest.raises(SingularMatrix) as exc:
+        factor(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    assert exc.value.offending == (2,)
 
 
 def test_dependent_columns_and_rank():
@@ -99,3 +122,5 @@ def test_dependent_columns_and_rank():
     assert dependent_columns(X) == (2, 3)
     assert rank(X) == 2
     assert rank(np.eye(4)) == 4
+    assert rank(np.zeros((3, 2))) == 0
+    assert dependent_columns(np.zeros((3, 2))) == (0, 1)
