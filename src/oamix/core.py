@@ -9,6 +9,7 @@ for amount designs, the total amount A. Pair order is lexicographic by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -55,6 +56,7 @@ AMOUNT_FAMILIES = frozenset({
 INTERCEPT_FAMILIES = AMOUNT_FAMILIES
 
 
+@functools.lru_cache
 def pair_indices(m: int) -> tuple[tuple[int, int], ...]:
     """All component pairs (j, k), j < k, in lexicographic order, 1-based."""
     return tuple((j, k) for j in range(1, m) for k in range(j + 1, m + 1))

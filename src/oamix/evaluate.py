@@ -23,13 +23,15 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import BlockedDesign, ModelMatrix, ModelSpec
+from .core import BlockedDesign, ModelMatrix, ModelSpec, n_pairs
 from .errors import (InsufficientDF, NothingToCheck, SingularMatrix)
-from .linalg import Factor, det_xtx, factor, inverse
-from .modelmat import build_model_matrix, model_row
+from .linalg import Factor, det_xtx, factor, inverse, log_det_xtx
+from .modelmat import build_model_matrix, model_rows
 from .pwo import pwo_from_run
 
 _MASK64 = (1 << 64) - 1
+# FDS samples drawn and evaluated per batch; bounds the sampler's memory
+_CHUNK = 1024
 
 CONVENTION_NOTES = (
     "prediction variance is unscaled v'(X'X)^-1 v (units of sigma^2); "
@@ -109,7 +111,8 @@ def check_orthogonal_blocking(design: BlockedDesign, spec: ModelSpec,
         raise NothingToCheck(
             f"blocking needs at least 2 blocks, design has {design.n_blocks}")
     X = build_model_matrix(design, replace(spec, include_block=False))
-    blocks = [list(design.block_indices(b))
+    labels = np.array([r.block for r in design.runs])
+    blocks = [np.flatnonzero(labels == b)
               for b in range(1, design.n_blocks + 1)]
     records = []
     for j, term in enumerate(X.columns):
@@ -212,7 +215,7 @@ def criteria_report(X: ModelMatrix,
                  for name, se, r, pw in zip(X.columns, ses, r2, power))
     return EvalReport(
         n=n, p=p, det_xtx=float(det_m),
-        d_criterion=float(det_m) ** (1.0 / p) / n,
+        d_criterion=math.exp(log_det_xtx(f) / p) / n,
         a_criterion=float(np.trace(inv)),
         max_pv=max_pv, avg_pv=avg_pv, g_efficiency=g_eff,
         columns=cols)
@@ -259,22 +262,24 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     use_amount = _needs_amount(design, spec)
 
     pvs = np.empty(n_samples)
-    for s in range(n_samples):
-        rng = np.random.default_rng((seed ^ s) & _MASK64)
-        e = rng.standard_exponential(m)
-        x = e / e.sum()
-        amount = None
-        if use_amount:
-            amount = levels[int(rng.integers(len(levels)))]
-        if design.kind == "amount":
-            values = tuple(x * amount)
-        else:
-            values = tuple(x)
-        order = perms[int(rng.integers(len(perms)))]
-        z = pwo_from_run(values, order)
-        block = 1 + int(rng.integers(2))
-        row = model_row(spec, m, design.kind, values, z, block, amount)
-        pvs[s] = prediction_variance(inv, row)
+    for lo in range(0, n_samples, _CHUNK):
+        k = min(_CHUNK, n_samples - lo)
+        values = np.empty((k, m))
+        pwo = np.empty((k, n_pairs(m)))
+        block = np.empty(k, dtype=int)
+        amount = np.full(k, math.nan) if use_amount else None
+        for i in range(k):
+            rng = np.random.default_rng((seed ^ (lo + i)) & _MASK64)
+            e = rng.standard_exponential(m)
+            x = e / e.sum()
+            if use_amount:
+                amount[i] = levels[int(rng.integers(len(levels)))]
+            values[i] = x * amount[i] if design.kind == "amount" else x
+            order = perms[int(rng.integers(len(perms)))]
+            pwo[i] = pwo_from_run(values[i], order)
+            block[i] = 1 + int(rng.integers(2))
+        rows = model_rows(spec, m, values, pwo, block, amount)
+        pvs[lo:lo + k] = np.einsum("ij,jk,ik->i", rows, inv, rows)
 
     pvs.sort()
     fracs = tuple((i - 0.5) / n_samples for i in range(1, n_samples + 1))

@@ -92,6 +92,11 @@ def det_xtx(f: Factor) -> float:
     return float(np.prod((f.s * f.norms) ** 2))
 
 
+def log_det_xtx(f: Factor) -> float:
+    """log det(X'X), finite wherever X has full rank."""
+    return 2.0 * float(np.sum(np.log(f.s * f.norms)))
+
+
 def inverse(f: Factor) -> np.ndarray:
     """(X'X)^-1 = D^-1 W W' D^-1, symmetric by construction."""
     Wd = f.W / f.norms[:, None]

@@ -7,6 +7,9 @@ interaction columns in ModelSpec.interaction_terms order, and finally the block
 column coded -1 (block 1) / +1 (block 2). One column cannot separate more
 than two blocks, so requesting it for such a design raises Unsupported.
 
+One term table per (spec, m) pairs each column name with a builder over
+the run arrays; column names, matrices and model_rows all come from it.
+
 Two bases are available. build_model_matrix uses the run values exactly as
 stored. coded_model_matrix first maps every component affinely onto [-1, 1]
 (the usual two-level coding c = 2 v - 1 of a [0, 1]-scaled value) and forms
@@ -22,14 +25,16 @@ analyses of the shipped component-amount design were produced).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .core import (AMOUNT_FAMILIES, BlockedDesign, COMPONENT_AMOUNT_LINEAR,
                    COMPONENT_AMOUNT_QUADRATIC, K_QUADRATIC,
                    MIXTURE_AMOUNT_LINEAR, MIXTURE_AMOUNT_QUADRATIC,
-                   ModelMatrix, ModelSpec, PROPORTION_FAMILIES, Run,
+                   ModelMatrix, ModelSpec, PROPORTION_FAMILIES,
                    SCHEFFE_LINEAR, SCHEFFE_QUADRATIC, pair_indices)
-from .errors import KindMismatch, SpecError, Unsupported
+from .errors import EmptyDesign, KindMismatch, SpecError, Unsupported
 
 _EQUAL_TOL = 1e-9
 
@@ -62,49 +67,81 @@ def _prefix(family: str) -> str:
     return "a" if family in AMOUNT_FAMILIES else "x"
 
 
-def column_names(spec: ModelSpec, m: int) -> tuple[str, ...]:
-    """Canonical column names for a family on m components."""
+def _terms(spec: ModelSpec, m: int) -> tuple[tuple[str, Callable], ...]:
+    """The term table: one (column name, builder) entry per column.
+
+    A builder maps the arrays V (values, n x m), Z (PWO, n x pairs), B
+    (block labels, n) and A (total amounts, n) to one model column.
+    """
     if m > 9:
         raise Unsupported("column grammar supports at most 9 components")
     c = _prefix(spec.family)
     pairs = pair_indices(m)
-    linear = [f"{c}{i}" for i in range(1, m + 1)]
-    squares = [f"{c}{i}^2" for i in range(1, m + 1)]
-    crosses = [f"{c}{j}*{c}{k}" for j, k in pairs]
+    linear = [(f"{c}{i + 1}", lambda V, Z, B, A, i=i: V[:, i])
+              for i in range(m)]
+    squares = [(f"{c}{i + 1}^2", lambda V, Z, B, A, i=i: V[:, i] * V[:, i])
+               for i in range(m)]
+    crosses = [(f"{c}{j}*{c}{k}",
+                lambda V, Z, B, A, j=j - 1, k=k - 1: V[:, j] * V[:, k])
+               for j, k in pairs]
 
-    names: list[str] = []
+    def times_a(base):
+        return [(f"{t}*A", lambda V, Z, B, A, f=f: f(V, Z, B, A) * A)
+                for t, f in base]
+
+    def times_a2(base):
+        return [(f"{t}*A^2", lambda V, Z, B, A, f=f: f(V, Z, B, A) * A * A)
+                for t, f in base]
+
+    base = linear + crosses
+    terms = list({
+        SCHEFFE_LINEAR: linear,
+        SCHEFFE_QUADRATIC: base,
+        K_QUADRATIC: squares + crosses,
+        MIXTURE_AMOUNT_LINEAR: linear + times_a(linear),
+        MIXTURE_AMOUNT_QUADRATIC: base + times_a(base) + times_a2(base),
+        COMPONENT_AMOUNT_LINEAR: linear,
+        COMPONENT_AMOUNT_QUADRATIC: linear + squares + crosses,
+    }[spec.family])
     if spec.include_intercept:
-        names.append("1")
-    fam = spec.family
-    if fam == SCHEFFE_LINEAR:
-        names += linear
-    elif fam == SCHEFFE_QUADRATIC:
-        names += linear + crosses
-    elif fam == K_QUADRATIC:
-        names += squares + crosses
-    elif fam == MIXTURE_AMOUNT_LINEAR:
-        names += linear
-        names += [f"{t}*A" for t in linear]
-    elif fam == MIXTURE_AMOUNT_QUADRATIC:
-        base = linear + crosses
-        names += base
-        names += [f"{t}*A" for t in base]
-        names += [f"{t}*A^2" for t in base]
-    elif fam == COMPONENT_AMOUNT_LINEAR:
-        names += linear
-    elif fam == COMPONENT_AMOUNT_QUADRATIC:
-        names += linear + squares + crosses
-
+        terms.insert(0, ("1", lambda V, Z, B, A: np.ones(len(V))))
     if spec.include_pwo:
-        names += [f"z{j}{k}" for j, k in pairs]
+        terms += [(f"z{j}{k}", lambda V, Z, B, A, q=q: Z[:, q])
+                  for q, (j, k) in enumerate(pairs)]
     for i, (k, l) in spec.interaction_terms:
         if not (1 <= k < l <= m) or not (1 <= i <= m):
             raise SpecError(
                 f"interaction ({i},({k},{l})) is outside 1..{m}")
-        names.append(f"{c}{i}*z{k}{l}")
+        terms.append((f"{c}{i}*z{k}{l}",
+                      lambda V, Z, B, A, i=i - 1, q=pairs.index((k, l)):
+                      V[:, i] * Z[:, q]))
     if spec.include_block:
-        names.append("blk")
-    return tuple(names)
+        terms.append(("blk", lambda V, Z, B, A: np.where(B == 1, -1.0, 1.0)))
+    return tuple(terms)
+
+
+def column_names(spec: ModelSpec, m: int) -> tuple[str, ...]:
+    """Canonical column names for a family on m components."""
+    return tuple(name for name, _ in _terms(spec, m))
+
+
+def _fill(terms, V, Z, B, A) -> np.ndarray:
+    out = np.empty((len(V), len(terms)))
+    for j, (_, build) in enumerate(terms):
+        out[:, j] = build(V, Z, B, A)
+    return out
+
+
+def model_rows(spec: ModelSpec, m: int, values, pwo, block,
+               amount=None) -> np.ndarray:
+    """Raw-basis model rows, one per design-space point.
+
+    values is n x m, pwo n x m(m-1)/2, block and amount have length n;
+    amount is needed only by the mixture-amount families.
+    """
+    A = None if amount is None else np.asarray(amount, dtype=float)
+    return _fill(_terms(spec, m), np.asarray(values, dtype=float),
+                 np.asarray(pwo, dtype=float), np.asarray(block), A)
 
 
 def _check_kind(design: BlockedDesign, spec: ModelSpec) -> None:
@@ -119,75 +156,33 @@ def _check_kind(design: BlockedDesign, spec: ModelSpec) -> None:
                 f"family {fam} needs a total amount on every run")
 
 
-def _coded_components(run: Run, kind: str, scale: float) -> tuple[float, ...]:
+def _coded(V: np.ndarray, A: np.ndarray, kind: str) -> np.ndarray:
     if kind == "proportion":
-        return tuple(2.0 * v - 1.0 for v in run.values)
-    vals = run.values
-    spread = max(vals) - min(vals)
-    if spread <= _EQUAL_TOL * max(1.0, abs(run.amount or 0.0)):
-        vals = tuple(run.amount for _ in vals)  # equal blend coded at total
-    return tuple(2.0 * v / scale - 1.0 for v in vals)
-
-
-def _row(run: Run, spec: ModelSpec, m: int, kind: str, basis: str,
-         scale: float) -> list[float]:
-    if basis == "coded":
-        v = _coded_components(run, kind, scale)
-    else:
-        v = run.values
-    pairs = pair_indices(m)
-    linear = list(v)
-    squares = [x * x for x in v]
-    crosses = [v[j - 1] * v[k - 1] for j, k in pairs]
-
-    row: list[float] = []
-    if spec.include_intercept:
-        row.append(1.0)
-    fam = spec.family
-    if fam == SCHEFFE_LINEAR:
-        row += linear
-    elif fam == SCHEFFE_QUADRATIC:
-        row += linear + crosses
-    elif fam == K_QUADRATIC:
-        row += squares + crosses
-    elif fam == MIXTURE_AMOUNT_LINEAR:
-        A = run.amount
-        row += linear
-        row += [t * A for t in linear]
-    elif fam == MIXTURE_AMOUNT_QUADRATIC:
-        A = run.amount
-        base = linear + crosses
-        row += base
-        row += [t * A for t in base]
-        row += [t * A * A for t in base]
-    elif fam == COMPONENT_AMOUNT_LINEAR:
-        row += linear
-    elif fam == COMPONENT_AMOUNT_QUADRATIC:
-        row += linear + squares + crosses
-
-    if spec.include_pwo:
-        row += [float(z) for z in run.pwo]
-    pair_pos = {pk: idx for idx, pk in enumerate(pairs)}
-    for i, (k, l) in spec.interaction_terms:
-        row.append(v[i - 1] * run.pwo[pair_pos[(k, l)]])
-    if spec.include_block:
-        row.append(-1.0 if run.block == 1 else 1.0)
-    return row
+        return 2.0 * V - 1.0
+    spread = V.max(axis=1) - V.min(axis=1)
+    equal = spread <= _EQUAL_TOL * np.maximum(1.0, np.abs(A))
+    V = np.where(equal[:, None], A[:, None], V)  # equal blend coded at total
+    return 2.0 * V / A.max() - 1.0
 
 
 def _build(design: BlockedDesign, spec: ModelSpec, basis: str) -> ModelMatrix:
     _check_kind(design, spec)
+    if not design.runs:
+        raise EmptyDesign("design has no runs")
     if spec.include_block and design.n_blocks > 2:
         raise Unsupported(
             f"the block column codes 2 blocks as -1/+1; the design has "
             f"{design.n_blocks} blocks")
-    names = column_names(spec, design.m)
-    scale = 1.0
-    if basis == "coded" and design.kind == "amount":
-        scale = max(r.amount for r in design.runs)
-    data = np.array([_row(r, spec, design.m, design.kind, basis, scale)
-                     for r in design.runs], dtype=float)
-    return ModelMatrix(columns=names, data=data, basis=basis)
+    terms = _terms(spec, design.m)
+    runs = design.runs
+    V = np.array([r.values for r in runs], dtype=float)
+    A = np.array([r.amount for r in runs], dtype=float)  # None -> nan
+    if basis == "coded":
+        V = _coded(V, A, design.kind)
+    data = _fill(terms, V, np.array([r.pwo for r in runs], dtype=float),
+                 np.array([r.block for r in runs]), A)
+    return ModelMatrix(columns=tuple(name for name, _ in terms), data=data,
+                       basis=basis)
 
 
 def build_model_matrix(design: BlockedDesign, spec: ModelSpec) -> ModelMatrix:
@@ -198,10 +193,3 @@ def build_model_matrix(design: BlockedDesign, spec: ModelSpec) -> ModelMatrix:
 def coded_model_matrix(design: BlockedDesign, spec: ModelSpec) -> ModelMatrix:
     """Model matrix on the [-1, 1] coded component scale (see module doc)."""
     return _build(design, spec, "coded")
-
-
-def model_row(spec: ModelSpec, m: int, kind: str, values, pwo, block: int,
-              amount: float | None = None) -> np.ndarray:
-    """A single raw-basis model row for an arbitrary design-space point."""
-    run = Run(tuple(values), tuple(pwo), block, amount)
-    return np.array(_row(run, spec, m, kind, "raw", 1.0), dtype=float)

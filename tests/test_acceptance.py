@@ -22,7 +22,7 @@ from oamix.evaluate import (check_orthogonal_blocking, criteria_report,
 from oamix.fit import ols_fit
 from oamix.linalg import det_xtx, factor, inverse
 from oamix.modelmat import (build_model_matrix, coded_model_matrix,
-                            default_interaction_subset, model_row)
+                            default_interaction_subset, model_rows)
 from oamix.pwo import (enumerate_orderings, permutation_from_pwo,
                        pwo_from_permutation, pwo_from_run)
 from oamix.serialize import parse_design_csv, write_design_csv, \
@@ -252,8 +252,8 @@ def test_criterion_11_fds_determinism_and_lattice_bound(tmp_path):
                 vals = tuple(p * amount for p in props)
                 for z in orderings:
                     for blk in (1, 2):
-                        row = np.asarray(model_row(spec, 3, "amount", vals,
-                                                   z, blk, amount))
+                        row = model_rows(spec, 3, [vals], [z], [blk],
+                                         [amount])[0]
                         oracle_max = max(oracle_max, float(row @ inv @ row))
     assert curve.maximum() <= oracle_max
 

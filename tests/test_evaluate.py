@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from oamix.catalog import (aggarwal_a_oofa, component_amount_projection_design,
 from oamix.core import BlockedDesign, ModelMatrix, ModelSpec, Run
 from oamix.errors import (InsufficientDF, NothingToCheck, SingularMatrix,
                           Unsupported)
+from oamix.evaluate import _CHUNK as CHUNK
 from oamix.evaluate import (check_orthogonal_blocking, criteria_report,
                             fds_curve, power_table, prediction_variance,
                             term_r_squared)
@@ -226,6 +228,28 @@ def test_ca_projection_results_do_not_depend_on_the_amount_unit(log_a_max):
     assert np.max(np.abs(np.array(fit.estimates) * norms - planted)) <= 1e-10
 
 
+
+def _amount_degree(name: str) -> int:
+    """Degree of a column in the component amounts, read from its name."""
+    return sum(int(f.partition("^")[2] or 1) for f in name.split("*")
+               if f.startswith("a"))
+
+
+@pytest.mark.parametrize("a_max", [1e-9, 1e9])
+def test_d_criterion_follows_the_amount_unit(a_max):
+    # scaling the amounts by a scales column j by a^deg_j, so det(X'X)
+    # by a^(2 sum deg_j) and d_criterion by a^(2 sum deg_j / p)
+    unit = criteria_report(build_model_matrix(
+        component_amount_projection_design(1.0), CA_SPEC))
+    rep = criteria_report(build_model_matrix(
+        component_amount_projection_design(a_max), CA_SPEC))
+    degree = sum(_amount_degree(c.name) for c in rep.columns)
+    want = 2.0 * degree / rep.p * math.log(a_max)
+    got = math.log(rep.d_criterion) - math.log(unit.d_criterion)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert rep.g_efficiency == pytest.approx(unit.g_efficiency, rel=1e-9)
+
+
 def test_fds_single_sample():
     curve = fds_curve(czitrom_d_oofa(), scheffe_spec(), 1, seed=5)
     assert curve.fractions == (0.5,)
@@ -244,13 +268,17 @@ def test_fds_deterministic_and_sorted():
     assert c3 != c1
 
 
-def test_fds_substreams_are_sample_indexed():
-    # a shorter run is a subset of a longer one with the same seed
-    spec = scheffe_spec()
-    short = fds_curve(czitrom_d_oofa(), spec, 60, seed=9)
-    full = fds_curve(czitrom_d_oofa(), spec, 120, seed=9)
-    short_counts = Counter(short.variances)
-    full_counts = Counter(full.variances)
+@pytest.mark.parametrize("short,full", [(60, 120), (1, 3000),
+                                        (CHUNK + 1, 3 * CHUNK)])
+@pytest.mark.parametrize("design,spec", [
+    (czitrom_d_oofa(), scheffe_spec()),
+    (component_amount_projection_design(100.0), CA_SPEC),
+], ids=["czitrom-d-oofa", "ca-projection"])
+def test_fds_substreams_are_sample_indexed(design, spec, short, full):
+    # a shorter run is a subset of a longer one with the same seed, also
+    # where the two runs split their samples into batches differently
+    short_counts = Counter(fds_curve(design, spec, short, seed=9).variances)
+    full_counts = Counter(fds_curve(design, spec, full, seed=9).variances)
     assert all(full_counts[v] >= k for v, k in short_counts.items())
 
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from oamix.catalog import (component_amount_projection_design, czitrom_d_oofa,
-                           czitrom_d_optimal)
+from oamix.catalog import (CATALOG, component_amount_projection_design,
+                           czitrom_d_oofa, czitrom_d_optimal)
 from oamix.core import BlockedDesign, ModelSpec, Run
-from oamix.errors import KindMismatch, SpecError, Unsupported
+from oamix.errors import EmptyDesign, KindMismatch, SpecError, Unsupported
 from oamix.linalg import rank
 from oamix.modelmat import (build_model_matrix, coded_model_matrix,
                             column_names, default_interaction_subset,
-                            full_interaction_set, model_row)
+                            full_interaction_set, model_rows)
 
 
 def scheffe_spec():
@@ -90,6 +90,13 @@ def test_kind_mismatch_errors():
                            scheffe_spec())
 
 
+def test_design_without_runs_is_rejected():
+    empty = BlockedDesign(m=3, kind="proportion", runs=(), n_blocks=1)
+    for build in (build_model_matrix, coded_model_matrix):
+        with pytest.raises(EmptyDesign):
+            build(empty, ModelSpec("scheffe_linear"))
+
+
 def test_mixture_amount_needs_amounts():
     with pytest.raises(KindMismatch):
         build_model_matrix(czitrom_d_oofa(),
@@ -167,5 +174,83 @@ def test_model_row_matches_matrix_row():
     spec = scheffe_spec()
     X = build_model_matrix(d, spec)
     r = d.runs[7]
-    row = model_row(spec, 3, "proportion", r.values, r.pwo, r.block)
-    assert np.array_equal(row, X.data[7])
+    rows = model_rows(spec, 3, [r.values], [r.pwo], [r.block])
+    assert np.array_equal(rows, X.data[7:8])
+
+
+FAMILIES_BY_KIND = {
+    "proportion": ("scheffe_linear", "scheffe_quadratic", "k_quadratic",
+                   "mixture_amount_linear", "mixture_amount_quadratic"),
+    "amount": ("component_amount_linear", "component_amount_quadratic"),
+}
+
+
+def _with_amounts(design, amount):
+    runs = tuple(Run(r.values, r.pwo, r.block, amount=amount)
+                 for r in design.runs)
+    return BlockedDesign(design.m, design.kind, runs, design.n_blocks,
+                         design.as_printed)
+
+
+def _oracle_components(run, design, coded):
+    """A run's component values in the basis, one run at a time."""
+    if not coded:
+        return list(run.values)
+    if design.kind == "proportion":
+        return [2.0 * v - 1.0 for v in run.values]
+    scale = max(r.amount for r in design.runs)
+    vals = run.values
+    if max(vals) - min(vals) <= 1e-9 * max(1.0, abs(run.amount)):
+        vals = [run.amount] * len(vals)  # equal blend coded at the total
+    return [2.0 * v / scale - 1.0 for v in vals]
+
+
+def _oracle_entry(name, comps, run, m):
+    """The product the column name spells, factor by factor, left to right."""
+    pairs = [(j, k) for j in range(1, m) for k in range(j + 1, m + 1)]
+    if name == "1":
+        return 1.0
+    if name == "blk":
+        return -1.0 if run.block == 1 else 1.0
+    out = None
+    for factor in name.split("*"):
+        base, _, power = factor.partition("^")
+        if base == "A":
+            v = run.amount
+        elif base[0] == "z":
+            v = float(run.pwo[pairs.index((int(base[1]), int(base[2])))])
+        else:
+            v = comps[int(base[1]) - 1]
+        for _ in range(int(power or 1)):
+            out = v if out is None else out * v
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_every_column_is_the_product_its_name_spells(name):
+    if name == "ca-projection":
+        designs = [component_amount_projection_design(100.0)]
+    else:
+        base = CATALOG[name]()
+        designs = [base, _with_amounts(base, 50.0)]
+    for design in designs:
+        m = design.m
+        for family in FAMILIES_BY_KIND[design.kind]:
+            if family.startswith("mixture_amount") and \
+                    design.runs[0].amount is None:
+                continue
+            for pwo in (False, True):
+                terms = default_interaction_subset(m) if pwo else ()
+                for block in ((False, True) if design.n_blocks == 2
+                              else (False,)):
+                    spec = ModelSpec(family, include_pwo=pwo,
+                                     interaction_terms=terms,
+                                     include_block=block)
+                    for coded, build in ((False, build_model_matrix),
+                                         (True, coded_model_matrix)):
+                        X = build(design, spec)
+                        want = [[_oracle_entry(c, _oracle_components(
+                                    r, design, coded), r, m)
+                                 for c in X.columns] for r in design.runs]
+                        assert np.array_equal(X.data, np.array(want)), \
+                            (family, pwo, block, coded)
