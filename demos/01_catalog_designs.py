@@ -23,7 +23,7 @@ for name, design in designs.items():
     problems = validate_design(design)
     path = OUT / f"{name}.csv"
     path.write_text(write_design_csv(design))
-    sizes = [len(design.block_indices(b))
+    sizes = [sum(r.block == b for r in design.runs)
              for b in range(1, design.n_blocks + 1)]
     print(f"{name:20} {design.kind:10} n={design.n:3} "
           f"blocks={sizes} violations={len(problems)} -> {path.name}")

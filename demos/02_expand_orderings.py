@@ -29,4 +29,4 @@ for z in enumerate_orderings((0.168, 0.832, 0.0)):
 print()
 
 print("expanded block sizes:",
-      [len(expanded.block_indices(b)) for b in (1, 2)])
+      [sum(r.block == b for r in expanded.runs) for b in (1, 2)])

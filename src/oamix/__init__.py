@@ -9,7 +9,7 @@ from .catalog import (CATALOG, aggarwal_a_oofa, aggarwal_a_optimal,
                       czitrom_d_optimal, oofa_expand)
 from .evaluate import (BlockingReport, EvalReport, FDSCurve,
                        check_orthogonal_blocking, criteria_report, fds_curve,
-                       power_table, prediction_variance, term_r_squared)
+                       power_table, term_r_squared)
 from .fit import FitResult, ols_fit, predict
 from .modelmat import (build_model_matrix, coded_model_matrix, column_names,
                        default_interaction_subset, full_interaction_set)
@@ -27,8 +27,7 @@ __all__ = [
     "component_amount_projection_design", "czitrom_d_oofa",
     "czitrom_d_optimal", "oofa_expand",
     "BlockingReport", "EvalReport", "FDSCurve", "check_orthogonal_blocking",
-    "criteria_report", "fds_curve", "power_table", "prediction_variance",
-    "term_r_squared",
+    "criteria_report", "fds_curve", "power_table", "term_r_squared",
     "FitResult", "ols_fit", "predict",
     "build_model_matrix", "coded_model_matrix", "column_names",
     "default_interaction_subset", "full_interaction_set",

@@ -9,6 +9,7 @@ validation error (including a failing blocking check), 4 numerical error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -158,16 +159,8 @@ def _cmd_eval(args) -> int:
         eval_points = build_model_matrix(other, spec).data
     report = criteria_report(X, eval_points)
     if args.json:
-        obj = {
-            "n": report.n, "p": report.p,
-            "det_xtx": report.det_xtx,
-            "d_criterion": report.d_criterion,
-            "a_criterion": report.a_criterion,
-            "max_pv": report.max_pv, "avg_pv": report.avg_pv,
-            "g_efficiency": report.g_efficiency,
-            "columns": [c._asdict() for c in report.columns],
-            "notes": list(report.notes),
-        }
+        obj = dataclasses.asdict(report)
+        obj["columns"] = [c._asdict() for c in report.columns]
         print(json.dumps(obj, indent=2))
         return 0
     print(f"n={report.n}  p={report.p}")

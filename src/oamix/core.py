@@ -10,12 +10,14 @@ for amount designs, the total amount A. Pair order is lexicographic by
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import SpecError
+from . import linalg
+from .errors import SingularMatrix, SpecError
 
 PROPORTION_SUM_TOL = 1e-9
 AMOUNT_SUM_TOL = 1e-9
@@ -109,9 +111,6 @@ class BlockedDesign:
     def n(self) -> int:
         return len(self.runs)
 
-    def block_indices(self, block: int) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.runs) if r.block == block)
-
     def amount_levels(self) -> tuple[float, ...]:
         """Distinct total-amount levels present, ascending."""
         levels = sorted({round(r.amount, 12) for r in self.runs
@@ -137,19 +136,12 @@ class Permutation:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which model family and which optional column groups to build.
-
-    include_intercept may be left as None to take the family default: the
-    component-amount families always carry an intercept, the simplex families
-    never do. Passing an explicit value that contradicts the family raises
-    SpecError rather than silently building a singular matrix.
-    """
+    """Which model family and which optional column groups to build."""
 
     family: str
     include_pwo: bool = False
     interaction_terms: tuple[tuple[int, tuple[int, int]], ...] = ()
     include_block: bool = False
-    include_intercept: Optional[bool] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -165,16 +157,12 @@ class ModelSpec:
             if i not in (k, l):
                 raise SpecError(
                     f"interaction component {i} must belong to its pair ({k},{l})")
-        forced = self.family in INTERCEPT_FAMILIES
-        if self.include_intercept is None:
-            object.__setattr__(self, "include_intercept", forced)
-        elif self.include_intercept and not forced:
-            raise SpecError(
-                f"family {self.family} admits no intercept (linear terms "
-                "already span the constant)")
-        elif not self.include_intercept and forced:
-            raise SpecError(
-                f"family {self.family} requires an intercept")
+
+    @property
+    def include_intercept(self) -> bool:
+        """The component-amount families carry an intercept; the simplex
+        families never do, since their linear terms span the constant."""
+        return self.family in INTERCEPT_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -184,6 +172,10 @@ class ModelMatrix:
     basis records how component entries were formed: "raw" uses the run
     values as stored; "coded" maps each component affinely onto [-1, 1]
     before any polynomial or interaction term is formed.
+
+    factor is the one factorization of data, made on first use and shared
+    by every analysis of this matrix; data is a private read-only copy, so
+    it cannot go stale.
     """
 
     columns: tuple[str, ...]
@@ -211,6 +203,18 @@ class ModelMatrix:
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.columns.index(name)]
+
+    @functools.cached_property
+    def factor(self) -> linalg.Factor:
+        """linalg.factor of data. A singular matrix is not cached: every
+        access raises SingularMatrix again, naming the dependent columns."""
+        try:
+            return linalg.factor(self.data)
+        except SingularMatrix as e:
+            names = tuple(self.columns[i] for i in e.offending
+                          if i < len(self.columns))
+            raise SingularMatrix(e.args[0], offending=e.offending,
+                                 names=names) from None
 
 
 class Violation(NamedTuple):
@@ -248,9 +252,15 @@ def validate_design(design: BlockedDesign) -> list[Violation]:
                                  f"expected {m} values, got {len(run.values)}"))
             continue  # downstream rules index into values
         for i, v in enumerate(run.values, start=1):
-            if v < 0:
+            if not math.isfinite(v):
+                out.append(Violation(idx, "non_finite_value",
+                                     f"component {i} is {v}"))
+            elif v < 0:
                 out.append(Violation(idx, "negative_value",
                                      f"component {i} is negative ({v})"))
+        if run.amount is not None and not math.isfinite(run.amount):
+            out.append(Violation(idx, "non_finite_value",
+                                 f"amount is {run.amount}"))
         if len(run.pwo) != npairs:
             out.append(Violation(idx, "pwo_length",
                                  f"expected {npairs} pwo entries, "

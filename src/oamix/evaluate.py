@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import BlockedDesign, ModelMatrix, ModelSpec, n_pairs
-from .errors import (InsufficientDF, NothingToCheck, SingularMatrix)
-from .linalg import Factor, det_xtx, factor, inverse, log_det_xtx
+from .errors import InsufficientDF, NothingToCheck
+from .linalg import det_xtx, inverse, log_det_xtx
 from .modelmat import build_model_matrix, model_rows
 from .pwo import pwo_from_run
 
@@ -44,17 +44,6 @@ CONVENTION_NOTES = (
     "other effect-size conventions are not comparable and are not "
     "reproduced",
 )
-
-
-def named_factor(X: ModelMatrix) -> Factor:
-    """The factorization of X; singularity reports offending column names."""
-    try:
-        return factor(X.data)
-    except SingularMatrix as e:
-        names = tuple(X.columns[i] for i in e.offending
-                      if i < len(X.columns))
-        raise SingularMatrix(e.args[0], offending=e.offending,
-                             names=names) from None
 
 
 class ConditionCheck(NamedTuple):
@@ -127,16 +116,6 @@ def check_orthogonal_blocking(design: BlockedDesign, spec: ModelSpec,
                           passed=all(r.ok for r in records), tol=tol)
 
 
-def prediction_variance(info_inv: np.ndarray, row: Sequence[float]) -> float:
-    """row' (X'X)^-1 row, the unscaled prediction variance at one point."""
-    v = np.asarray(row, dtype=float)
-    M = np.asarray(info_inv, dtype=float)
-    if v.ndim != 1 or M.shape != (v.size, v.size):
-        raise ValueError(
-            f"dimension mismatch: row {v.shape} vs inverse {M.shape}")
-    return float(v @ M @ v)
-
-
 class ColumnStats(NamedTuple):
     name: str
     se: float
@@ -198,7 +177,7 @@ def criteria_report(X: ModelMatrix,
     max_pv and avg_pv are taken over the design's own rows unless an
     explicit point set (rows in the same column basis) is supplied.
     """
-    f = named_factor(X)
+    f = X.factor
     det_m, inv = det_xtx(f), inverse(f)
     n, p = X.n, X.p
     pts = X.data if eval_points is None else np.asarray(eval_points, float)
@@ -255,7 +234,7 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     X = build_model_matrix(design, spec)
-    inv = inverse(named_factor(X))
+    inv = inverse(X.factor)
     m = design.m
     perms = list(itertools.permutations(range(1, m + 1)))
     levels = design.amount_levels()
@@ -303,7 +282,7 @@ def power_table(X: ModelMatrix, sigma: float = 1.0, alpha: float = 0.05,
     n, p = X.n, X.p
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}: no residual degrees of freedom")
-    inv = inverse(named_factor(X))
+    inv = inverse(X.factor)
     ses = sigma * np.sqrt(np.diag(inv))
     power = _power(ses, n - p, sigma, alpha, effect_sd)
     return {name: PowerRow(se=float(se), power=float(pw))
@@ -319,5 +298,5 @@ def term_r_squared(X: ModelMatrix) -> dict[str, float]:
     """
     if X.p < 2:
         raise ValueError("need at least 2 columns")
-    inv = inverse(named_factor(X))
+    inv = inverse(X.factor)
     return dict(zip(X.columns, _column_r2(X, inv)))

@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import ModelMatrix
 from .errors import InsufficientDF, SchemaError
-from .evaluate import _point_variances, named_factor
+from .evaluate import _point_variances
 from .linalg import inverse, lstsq
 
 
@@ -40,9 +40,11 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
     n, p = X.n, X.p
     if y.shape != (n,):
         raise SchemaError(f"response length {y.shape} does not match n={n}")
+    if not np.all(np.isfinite(y)):
+        raise SchemaError("response has non-finite values")
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}")
-    f = named_factor(X)  # raises SingularMatrix with column names
+    f = X.factor  # raises SingularMatrix with column names
     inv = inverse(f)
     beta = lstsq(f, y)
     fitted = X.data @ beta

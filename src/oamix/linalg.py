@@ -20,28 +20,12 @@ _EPS = np.finfo(float).eps
 
 
 class Factor(NamedTuple):
-    """The factorization of a full-rank n x p model matrix X."""
+    """The factorization of a full-rank n x p model matrix X; read-only."""
 
     Xs: np.ndarray     # X D^-1, every column of unit norm
     norms: np.ndarray  # the column norms D
     s: np.ndarray      # singular values of Xs, descending
     W: np.ndarray      # V S^-1, so that (Xs'Xs)^-1 = W W'
-
-
-def _triangle(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Xs, D and the R factor of Xs."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    norms = np.linalg.norm(X, axis=0)
-    norms[norms == 0] = 1.0  # a zero column stays zero, so the rank drops
-    Xs = X / norms
-    return Xs, norms, np.linalg.qr(Xs, mode="r")
-
-
-def _tol(s: np.ndarray, shape: tuple[int, int]) -> float:
-    """Singular values at or below this are taken as zero."""
-    return float(s.max(initial=0.0)) * max(shape) * _EPS
 
 
 def _dependent(R: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -57,34 +41,31 @@ def _dependent(R: np.ndarray, tol: float) -> tuple[int, ...]:
     return tuple(dep)
 
 
-def dependent_columns(X) -> tuple[int, ...]:
-    """Indices of the columns of X that depend on the columns before them."""
-    Xs, _, R = _triangle(X)
-    s = np.linalg.svd(R, compute_uv=False)
-    return _dependent(R, _tol(s, Xs.shape))
-
-
-def rank(X) -> int:
-    """Numerical rank of X after equilibration."""
-    return np.shape(X)[1] - len(dependent_columns(X))
-
-
 def factor(X) -> Factor:
     """Factor X once; SingularMatrix names the dependent columns.
 
     The rank counts the singular values of Xs above s_max*max(n, p)*eps.
     """
-    Xs, norms, R = _triangle(X)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    norms = np.linalg.norm(X, axis=0)
+    norms[norms == 0] = 1.0  # a zero column stays zero, so the rank drops
+    Xs = X / norms
+    R = np.linalg.qr(Xs, mode="r")
     _, s, Vt = np.linalg.svd(R)
     p = Xs.shape[1]
-    tol = _tol(s, Xs.shape)
+    tol = float(s.max(initial=0.0)) * max(Xs.shape) * _EPS
     r = int(np.count_nonzero(s > tol))
     if r < p:
         cond = s[0] / s[-1] if s.size == p and s[-1] > 0 else np.inf
         raise SingularMatrix(
             f"model matrix has rank {r} of {p} columns (equilibrated "
             f"condition number {cond:.3g})", offending=_dependent(R, tol))
-    return Factor(Xs=Xs, norms=norms, s=s, W=Vt.T / s)
+    f = Factor(Xs=Xs, norms=norms, s=s, W=Vt.T / s)
+    for a in f:
+        a.flags.writeable = False
+    return f
 
 
 def det_xtx(f: Factor) -> float:

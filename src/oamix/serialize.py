@@ -5,7 +5,9 @@ Design CSV layout: header `run`, then `x1..xm` (proportion) or `a1..am`
 trailing `A` column when runs carry a total amount (required for amount
 designs). Numbers are written with up to 6 significant digits, trailing
 zeros trimmed; parsed designs are treated as printed data (rounded), so a
-write/parse round trip preserves every catalog design exactly.
+write/parse round trip preserves every catalog design exactly. Pair and
+block cells must hold integers (`1` or `1.0`); a fraction there is refused,
+never truncated.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ def write_design_csv(design: BlockedDesign) -> str:
             row.append(fmt_num(run.amount) if run.amount is not None else "")
         w.writerow(row)
     return out.getvalue()
+
+
+def _integer(cell: str) -> int:
+    """An integral cell such as `1` or `1.0`; anything else is refused."""
+    v = float(cell)
+    if not v.is_integer():
+        raise ValueError(f"not an integer: {cell.strip()!r}")
+    return int(v)
 
 
 def parse_design_csv(text: str) -> BlockedDesign:
@@ -102,8 +112,8 @@ def parse_design_csv(text: str) -> BlockedDesign:
                 f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         try:
             values = tuple(float(v) for v in row[1:1 + m])
-            zs = tuple(int(float(v)) for v in row[1 + m:1 + m + len(expected_z)])
-            block = int(float(row[1 + m + len(expected_z)]))
+            zs = tuple(_integer(v) for v in row[1 + m:1 + m + len(expected_z)])
+            block = _integer(row[1 + m + len(expected_z)])
             amount: Optional[float] = None
             if with_amount:
                 cell = row[-1].strip()

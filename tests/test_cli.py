@@ -145,6 +145,55 @@ def test_power_json_matches_published_table(tmp_path, capsys):
     assert obj["notes"]
 
 
+def test_power_factorizes_once(tmp_path, capsys, qr_calls):
+    t8 = catalog_file(tmp_path, "ca-projection", "--a-max", "100")
+    qr_calls.clear()
+    assert run_cli("power", "-i", str(t8), "--model", "ca-q") == 0
+    assert len(qr_calls) == 1
+
+
+def _with_nan(path, line, col):
+    lines = path.read_text().splitlines()
+    cells = lines[line].split(",")
+    cells[col] = "nan"
+    lines[line] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["power"], ["fit", "--response", "y.csv", "-o", "fit.csv"]])
+def test_non_finite_component_is_a_data_error(tmp_path, capsys, command):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    _with_nan(t3, 1, 1)
+    code = run_cli(*command, "-i", str(t3), "--model", "scheffe-q")
+    assert code == 3
+    assert "non_finite_value" in capsys.readouterr().err
+
+
+def test_non_finite_response_is_a_data_error(tmp_path, capsys):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    y = tmp_path / "y.csv"
+    y.write_text("y\nnan\n" + "1\n" * 23)
+    assert run_cli("fit", "-i", str(t3), "--model", "scheffe-q",
+                   "--response", str(y), "-o", str(tmp_path / "c.csv")) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_amount_is_a_data_error(tmp_path, capsys):
+    t8 = catalog_file(tmp_path, "ca-projection", "--a-max", "100")
+    _with_nan(t8, 1, -1)
+    assert run_cli("eval", "-i", str(t8), "--model", "ca-q") == 3
+    assert "non_finite_value" in capsys.readouterr().err
+
+
+def test_fractional_block_is_a_data_error(tmp_path, capsys):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    t3.write_text(t3.read_text().replace("\n1,0.168,0.832,0,1,0,0,1\n",
+                                         "\n1,0.168,0.832,0,1,0,0,1.7\n"))
+    assert run_cli("eval", "-i", str(t3), "--model", "scheffe-q") == 3
+    assert "line 2: not an integer" in capsys.readouterr().err
+
+
 def test_fds_outputs_are_deterministic(tmp_path, capsys):
     t3 = catalog_file(tmp_path, "czitrom-d-oofa")
     b1, b2 = tmp_path / "c1", tmp_path / "c2"

