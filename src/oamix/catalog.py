@@ -14,7 +14,11 @@ published analyses digit for digit.
 
 from __future__ import annotations
 
-from .core import BlockedDesign, Run
+import functools
+
+import numpy as np
+
+from .core import BlockedDesign
 from .errors import AlreadyExpanded, InvalidAmount
 from .pwo import enumerate_orderings
 
@@ -138,16 +142,11 @@ _CA_PROJECTION_UNIT = (
 
 
 def _proportion_design(rows, with_pwo: bool) -> BlockedDesign:
-    runs = []
-    for row in rows:
-        if with_pwo:
-            x1, x2, x3, z12, z13, z23, blk = row
-            runs.append(Run((x1, x2, x3), (z12, z13, z23), blk))
-        else:
-            x1, x2, x3, blk = row
-            runs.append(Run((x1, x2, x3), (0, 0, 0), blk))
-    return BlockedDesign(m=3, kind="proportion", runs=tuple(runs),
-                         n_blocks=2, as_printed=True)
+    rows = np.array(rows, dtype=float)
+    pwo = rows[:, 3:6] if with_pwo else np.zeros((len(rows), 3))
+    return BlockedDesign.from_arrays(3, "proportion", rows[:, :3], pwo,
+                                     rows[:, -1], None, n_blocks=2,
+                                     as_printed=True)
 
 
 def czitrom_d_optimal() -> BlockedDesign:
@@ -178,6 +177,16 @@ def aggarwal_a_oofa() -> BlockedDesign:
     return _proportion_design(_AGGARWAL_OOFA, with_pwo=True)
 
 
+@functools.lru_cache
+def _orderings(support: tuple[bool, ...]) -> np.ndarray:
+    """enumerate_orderings of a run with this support pattern, as a
+    read-only (s!, pairs) int8 table."""
+    table = np.array(enumerate_orderings([float(on) for on in support]),
+                     dtype=np.int8)
+    table.flags.writeable = False
+    return table
+
+
 def oofa_expand(base: BlockedDesign) -> BlockedDesign:
     """Replace each run of an unordered design by one run per addition order.
 
@@ -185,16 +194,28 @@ def oofa_expand(base: BlockedDesign) -> BlockedDesign:
     orderings appear in enumerate_orderings order. A run with s positive
     components contributes s! runs.
     """
-    for idx, run in enumerate(base.runs):
-        if any(z != 0 for z in run.pwo):
-            raise AlreadyExpanded(
-                f"run {idx + 1} already carries an ordering {run.pwo}")
-    runs = []
-    for run in base.runs:
-        for vec in enumerate_orderings(run.values):
-            runs.append(Run(run.values, vec, run.block, run.amount))
-    return BlockedDesign(m=base.m, kind=base.kind, runs=tuple(runs),
-                         n_blocks=base.n_blocks, as_printed=base.as_printed)
+    ordered = np.flatnonzero(base.pwo.any(axis=1))
+    if ordered.size:
+        idx = int(ordered[0])
+        raise AlreadyExpanded(f"run {idx + 1} already carries an ordering "
+                              f"{tuple(base.pwo[idx].tolist())}")
+    # one ordering table per distinct support pattern, stacked after an
+    # empty one (so that a design without runs stacks too); run i takes the
+    # rows of its pattern's table
+    patterns, which = np.unique(base.values > 0, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    tables = [np.empty((0, base.pwo.shape[1]), dtype=np.int8)]
+    tables += [_orderings(tuple(p)) for p in patterns.tolist()]
+    sizes = np.array([len(t) for t in tables[1:]], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    per_run = sizes[which]
+    rep = np.repeat(np.arange(base.n), per_run)
+    within = np.arange(per_run.sum()) - np.repeat(np.cumsum(per_run) - per_run,
+                                                  per_run)
+    pwo = np.concatenate(tables)[np.repeat(starts[which], per_run) + within]
+    return BlockedDesign.from_arrays(
+        base.m, base.kind, base.values[rep], pwo, base.block[rep],
+        base.amount[rep], n_blocks=base.n_blocks, as_printed=base.as_printed)
 
 
 def component_amount_projection_design(a_max: float) -> BlockedDesign:
@@ -207,12 +228,13 @@ def component_amount_projection_design(a_max: float) -> BlockedDesign:
     """
     if not a_max > 0:
         raise InvalidAmount(f"a_max must be positive, got {a_max}")
-    runs = []
-    for a1, a2, a3, z12, z13, z23, blk in _CA_PROJECTION_UNIT:
-        vals = (a1 * a_max, a2 * a_max, a3 * a_max)
-        runs.append(Run(vals, (z12, z13, z23), blk, amount=sum(vals)))
-    return BlockedDesign(m=3, kind="amount", runs=tuple(runs),
-                         n_blocks=2, as_printed=True)
+    rows = np.array(_CA_PROJECTION_UNIT, dtype=float)
+    values = rows[:, :3] * a_max
+    # row totals, added left to right
+    amount = values[:, 0] + values[:, 1] + values[:, 2]
+    return BlockedDesign.from_arrays(3, "amount", values, rows[:, 3:6],
+                                     rows[:, -1], amount, n_blocks=2,
+                                     as_printed=True)
 
 
 CATALOG = {

@@ -3,21 +3,23 @@
 A design is a sequence of runs in numbered blocks. Each run carries the
 component values (proportions or amounts), the pairwise variables z_jk that
 encode the order in which components enter the blend, a block label, and,
-for amount designs, the total amount A. Pair order is lexicographic by
-(j, k) with j < k throughout the library: z12, z13, ..., z23, ...
+for amount designs, the total amount A; BlockedDesign stores each of
+these as one array over the runs. Pair order is lexicographic by (j, k)
+with j < k throughout the library: z12, z13, ..., z23, ...
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import linalg
-from .errors import SingularMatrix, SpecError
+from .errors import InvalidDesign, SingularMatrix, SpecError
 
 PROPORTION_SUM_TOL = 1e-9
 AMOUNT_SUM_TOL = 1e-9
@@ -85,8 +87,8 @@ class Run:
     amount: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "pwo", tuple(int(z) for z in self.pwo))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        object.__setattr__(self, "pwo", tuple(map(int, self.pwo)))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -94,28 +96,105 @@ class Run:
         return tuple(i + 1 for i, v in enumerate(self.values) if v > 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BlockedDesign:
-    """An ordered sequence of runs partitioned into numbered blocks."""
+    """An ordered sequence of runs partitioned into numbered blocks.
+
+    The runs are held as read-only columns: values (n x m float), pwo
+    (n x pairs int8), block (n int) and amount (n float, NaN where a run has
+    no total amount). BlockedDesign(m, kind, runs, n_blocks) takes Run
+    objects and refuses with InvalidDesign what the columns cannot hold: a
+    run of the wrong length, a NaN amount (NaN is "no amount"), a pwo entry
+    outside int8. runs is a view of the columns as Run objects.
+    """
 
     m: int
     kind: str  # "proportion" | "amount"
-    runs: tuple[Run, ...]
+    values: np.ndarray
+    pwo: np.ndarray
+    block: np.ndarray
+    amount: np.ndarray
     n_blocks: int
     as_printed: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(self.runs))
+    def __init__(self, m: int, kind: str, runs, n_blocks: int,
+                 as_printed: bool = False):
+        runs = tuple(runs)
+        npairs = len(pair_indices(m))
+        bad = []
+        for idx, r in enumerate(runs):
+            if len(r.values) != m:
+                bad.append(Violation(idx, "values_length",
+                                     f"expected {m} values, got {len(r.values)}"))
+                continue
+            if r.amount is not None and math.isnan(r.amount):
+                bad.append(Violation(idx, "non_finite_value",
+                                     f"amount is {r.amount}"))
+            if len(r.pwo) != npairs:
+                bad.append(Violation(idx, "pwo_length",
+                                     f"expected {npairs} pwo entries, "
+                                     f"got {len(r.pwo)}"))
+        if bad:
+            raise InvalidDesign(bad)
+        self._store(m, kind, n_blocks, as_printed,
+                    [r.values for r in runs],
+                    np.array([r.pwo for r in runs], dtype=np.int64),
+                    [r.block for r in runs],
+                    [math.nan if r.amount is None else r.amount for r in runs])
+
+    @classmethod
+    def from_arrays(cls, m: int, kind: str, values, pwo, block, amount,
+                    n_blocks: int, as_printed: bool = False) -> "BlockedDesign":
+        """A design from its columns; amount None means no run has one."""
+        design = object.__new__(cls)
+        n = len(block)
+        if amount is None:
+            amount = np.full(n, math.nan)
+        design._store(m, kind, n_blocks, as_printed, values, pwo, block, amount)
+        return design
+
+    def _store(self, m, kind, n_blocks, as_printed, values, pwo, block,
+               amount) -> None:
+        n = len(block)
+        pwo = np.asarray(pwo).reshape(n, len(pair_indices(m)))
+        with np.errstate(invalid="ignore"):
+            pwo8 = pwo.astype(np.int8)
+        lost = pwo8 != pwo  # beyond int8, or not an integer
+        if lost.any():
+            pairs = pair_indices(m)
+            raise InvalidDesign([
+                Violation(r, "pwo_entry_range",
+                          f"z{pairs[q][0]}{pairs[q][1]} = {pwo[r, q].item()} "
+                          "not in {-1,0,+1}")
+                for r, q in zip(*(a.tolist() for a in np.nonzero(lost)))])
+        columns = {"values": np.array(values, dtype=float).reshape(n, m),
+                   "pwo": pwo8,
+                   "block": np.array(block, dtype=np.int64).reshape(n),
+                   "amount": np.array(amount, dtype=float).reshape(n)}
+        for a in columns.values():
+            a.flags.writeable = False
+        fields = dict(columns, m=m, kind=kind, n_blocks=n_blocks,
+                      as_printed=as_printed)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.runs)
+        return len(self.block)
+
+    @functools.cached_property
+    def runs(self) -> tuple[Run, ...]:
+        """The runs as Run objects, built from the columns on first access
+        and kept, so that indexing runs in a loop stays cheap."""
+        amounts = [None if math.isnan(a) else a for a in self.amount.tolist()]
+        return tuple(itertools.starmap(Run, zip(
+            self.values.tolist(), self.pwo.tolist(), self.block.tolist(),
+            amounts)))
 
     def amount_levels(self) -> tuple[float, ...]:
         """Distinct total-amount levels present, ascending."""
-        levels = sorted({round(r.amount, 12) for r in self.runs
-                         if r.amount is not None})
-        return tuple(levels)
+        given = np.unique(self.amount[~np.isnan(self.amount)])
+        return tuple(sorted({round(a, 12) for a in given.tolist()}))
 
 
 @dataclass(frozen=True)
@@ -225,80 +304,135 @@ class Violation(NamedTuple):
     message: str
 
 
+@functools.lru_cache
+def _incidence(m: int):
+    """0-based pair members J, K and their pairs x m one-hot matrices."""
+    J, K = (np.array([p[i] - 1 for p in pair_indices(m)], dtype=np.intp)
+            for i in (0, 1))
+    eye = np.eye(m, dtype=np.int64)
+    return J, K, eye[J], eye[K]
+
+
 def validate_design(design: BlockedDesign) -> list[Violation]:
     """Check every structural invariant; an empty list means valid.
 
     Violations are data, not exceptions: the report lists each broken rule
-    with the offending run index (0-based) and a stable rule name.
+    with the offending run index (0-based) and a stable rule name, ordered
+    by run and, within a run, by component, amount, pair, sum and block.
     """
-    out: list[Violation] = []
-    m = design.m
-    npairs = n_pairs(m)
-    pairs = pair_indices(m)
-    sum_tol = AS_PRINTED_SUM_TOL if design.as_printed else PROPORTION_SUM_TOL
+    return validate_columns(design.m, design.kind, design.n_blocks,
+                            design.as_printed, design.values, design.pwo,
+                            design.block, design.amount)
 
+
+def _support_pair_rules(add, Z, zero, on, ordered, bad, first, second):
+    """pwo_partial and pwo_cyclic for the runs with no out-of-range entry:
+    a run's support pairs (on) are all 0 or all ordered, and then the
+    precedence out-degrees of its support components are {s-1, ..., 0}."""
+    judged = ~bad.any(axis=1)
+    n_on = on.sum(axis=1)
+    n_ordered = (ordered & on).sum(axis=1)
+    add(3, "pwo_partial", judged & (n_ordered > 0) & (n_ordered < n_on),
+        lambda r, _: f"{n_on[r] - n_ordered[r]} of the {n_on[r]} support "
+                     "pairs are 0; a run is ordered on all of them or on none")
+    wins = ((Z > 0) & on) @ first + ((Z < 0) & on) @ second
+    # s out-degrees in 0..s-1 summing to s(s-1)/2 are {s-1, ..., 0} iff
+    # they are distinct; absent components get distinct negative fillers
+    m = zero.shape[1]
+    degrees = np.sort(np.where(zero, -1 - np.arange(m), wins), axis=1)
+
+    def message(r, _):
+        support = np.flatnonzero(~zero[r])
+        degs = dict(zip((support + 1).tolist(), wins[r, support].tolist()))
+        return f"precedence out-degrees {degs} do not form a total order"
+
+    add(3, "pwo_cyclic", judged & (n_ordered == n_on) & (n_on > 0)
+        & (np.diff(degrees, axis=1) == 0).any(axis=1), message)
+
+
+def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
+                     values, pwo, block, amount,
+                     has_amount=None) -> list[Violation]:
+    """validate_design on bare columns, in one pass over the arrays.
+
+    pwo and block may be any numeric type. has_amount marks the runs that
+    were given an amount (default: those not NaN), so that a given NaN is
+    reported as non-finite rather than read as absent. A run's support
+    pairs are those whose components are both nonzero; they must be all 0
+    (unordered) or all +/-1 with precedence out-degrees {s-1, ..., 0}.
+    """
+    V = np.asarray(values, dtype=float)
+    Z, B = np.asarray(pwo), np.asarray(block)
+    A = np.asarray(amount, dtype=float)
+    has = ~np.isnan(A) if has_amount is None else np.asarray(has_amount)
+    n = len(B)
+    head, found = [], []
     if m < 2:
-        out.append(Violation(None, "component_count",
-                             f"m must be >= 2, got {m}"))
-    if design.kind not in ("proportion", "amount"):
-        out.append(Violation(None, "kind",
-                             f"unknown design kind {design.kind!r}"))
-    if not design.runs:
-        out.append(Violation(None, "empty_design", "design has no runs"))
+        head.append(Violation(None, "component_count",
+                              f"m must be >= 2, got {m}"))
+    if kind not in ("proportion", "amount"):
+        head.append(Violation(None, "kind", f"unknown design kind {kind!r}"))
+    if not n:
+        head.append(Violation(None, "empty_design", "design has no runs"))
 
-    for idx, run in enumerate(design.runs):
-        if len(run.values) != m:
-            out.append(Violation(idx, "values_length",
-                                 f"expected {m} values, got {len(run.values)}"))
-            continue  # downstream rules index into values
-        for i, v in enumerate(run.values, start=1):
-            if not math.isfinite(v):
-                out.append(Violation(idx, "non_finite_value",
-                                     f"component {i} is {v}"))
-            elif v < 0:
-                out.append(Violation(idx, "negative_value",
-                                     f"component {i} is negative ({v})"))
-        if run.amount is not None and not math.isfinite(run.amount):
-            out.append(Violation(idx, "non_finite_value",
-                                 f"amount is {run.amount}"))
-        if len(run.pwo) != npairs:
-            out.append(Violation(idx, "pwo_length",
-                                 f"expected {npairs} pwo entries, "
-                                 f"got {len(run.pwo)}"))
-        else:
-            for (j, k), z in zip(pairs, run.pwo):
-                if z not in (-1, 0, 1):
-                    out.append(Violation(idx, "pwo_entry_range",
-                                         f"z{j}{k} = {z} not in {{-1,0,+1}}"))
-                elif z != 0 and (run.values[j - 1] == 0 or run.values[k - 1] == 0):
-                    out.append(Violation(
-                        idx, "pwo_nonzero_for_zero_component",
-                        f"z{j}{k} = {z:+d} but component {j if run.values[j-1] == 0 else k} is 0"))
-        if design.kind == "proportion":
-            s = sum(run.values)
-            if abs(s - 1.0) > sum_tol:
-                out.append(Violation(idx, "proportion_sum",
-                                     f"values sum to {s}, expected 1"))
-        elif design.kind == "amount":
-            if run.amount is None:
-                out.append(Violation(idx, "amount_mismatch",
-                                     "amount kind requires a total amount"))
-            else:
-                s = sum(run.values)
-                if abs(run.amount - s) > AMOUNT_SUM_TOL:
-                    out.append(Violation(
-                        idx, "amount_mismatch",
-                        f"amount {run.amount} != value sum {s}"))
-                if run.amount < 0:
-                    out.append(Violation(idx, "negative_amount",
-                                         f"amount {run.amount} < 0"))
-        if not (1 <= run.block <= design.n_blocks):
-            out.append(Violation(idx, "block_label_range",
-                                 f"block {run.block} outside 1..{design.n_blocks}"))
+    def add(rank, rule, mask, message):
+        """One violation per True entry of mask (n, or n x k), sorted by
+        (run, rank, entry); message(r, c) formats entry c of run r."""
+        if not mask.any():
+            return
+        hits = (zip(np.flatnonzero(mask).tolist(), itertools.repeat(0))
+                if mask.ndim == 1 else zip(*(a.tolist() for a in np.nonzero(mask))))
+        for r, c in hits:
+            found.append((r, rank, c, Violation(r, rule, message(r, c))))
 
-    seen_blocks = {r.block for r in design.runs}
-    for b in range(1, design.n_blocks + 1):
-        if b not in seen_blocks:
-            out.append(Violation(None, "empty_block", f"block {b} has no runs"))
+    pairs = pair_indices(m)
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(V)
+        add(0, "non_finite_value", ~finite,
+            lambda r, i: f"component {i + 1} is {float(V[r, i])}")
+        add(0, "negative_value", finite & (V < 0),
+            lambda r, i: f"component {i + 1} is negative ({float(V[r, i])})")
+        add(1, "non_finite_value", has & ~np.isfinite(A),
+            lambda r, _: f"amount is {float(A[r])}")
+        if pairs:
+            J, K, first, second = _incidence(m)
+            bad = (Z < -1) | (Z > 1)
+            add(2, "pwo_entry_range", bad,
+                lambda r, q: f"z{pairs[q][0]}{pairs[q][1]} = {int(Z[r, q])} "
+                             "not in {-1,0,+1}")
+            zero = V == 0
+            off = zero[:, J] | zero[:, K]
+            ordered = (Z != 0) & ~bad
+            add(2, "pwo_nonzero_for_zero_component", ordered & off,
+                lambda r, q: f"z{pairs[q][0]}{pairs[q][1]} = "
+                             f"{int(Z[r, q]):+d} but component "
+                             f"{pairs[q][0] if zero[r, J[q]] else pairs[q][1]}"
+                             " is 0")
+            on = ~off
+            if (ordered & on).any():
+                _support_pair_rules(add, Z, zero, on, ordered, bad, first,
+                                    second)
+        s = np.zeros(n)
+        for i in range(V.shape[1]):
+            s = s + V[:, i]  # left to right, as the built-in sum adds
+        if kind == "proportion":
+            tol = AS_PRINTED_SUM_TOL if as_printed else PROPORTION_SUM_TOL
+            add(4, "proportion_sum", np.abs(s - 1.0) > tol,
+                lambda r, _: f"values sum to {float(s[r])}, expected 1")
+        elif kind == "amount":
+            add(4, "amount_mismatch", ~has,
+                lambda r, _: "amount kind requires a total amount")
+            # a non-finite amount is reported once, above
+            finite_a = has & np.isfinite(A)
+            add(4, "amount_mismatch", finite_a & (np.abs(A - s) > AMOUNT_SUM_TOL),
+                lambda r, _: f"amount {float(A[r])} != value sum {float(s[r])}")
+            add(5, "negative_amount", finite_a & (A < 0),
+                lambda r, _: f"amount {float(A[r])} < 0")
+        add(6, "block_label_range", (B < 1) | (B > n_blocks),
+            lambda r, _: f"block {int(B[r])} outside 1..{n_blocks}")
 
-    return out
+    found.sort(key=lambda t: t[:3])
+    seen_blocks = set(B.tolist())
+    tail = [Violation(None, "empty_block", f"block {b} has no runs")
+            for b in range(1, n_blocks + 1) if b not in seen_blocks]
+    return head + [v for *_, v in found] + tail

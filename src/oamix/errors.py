@@ -54,6 +54,18 @@ class SchemaError(OamixError):
     """A CSV header or column-name set does not match the expected schema."""
 
 
+class InvalidDesign(SchemaError):
+    """A design breaks structural rules; violations lists each one (see
+    core.Violation), and the message shows the first eight."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        detail = "; ".join(
+            f"run {v.run_index + 1 if v.run_index is not None else '-'}: "
+            f"{v.rule} ({v.message})" for v in self.violations[:8])
+        super().__init__(f"design fails validation: {detail}")
+
+
 class EmptyDesign(OamixError):
     """A design file contains no data rows."""
 

@@ -100,13 +100,12 @@ def check_orthogonal_blocking(design: BlockedDesign, spec: ModelSpec,
         raise NothingToCheck(
             f"blocking needs at least 2 blocks, design has {design.n_blocks}")
     X = build_model_matrix(design, replace(spec, include_block=False))
-    labels = np.array([r.block for r in design.runs])
-    blocks = [np.flatnonzero(labels == b)
-              for b in range(1, design.n_blocks + 1)]
+    # per block, the columns as lists of floats (fsum is fast on lists)
+    by_block = [X.data[design.block == b].T.tolist()
+                for b in range(1, design.n_blocks + 1)]
     records = []
     for j, term in enumerate(X.columns):
-        col = X.data[:, j]
-        sums = tuple(math.fsum(col[idx]) for idx in blocks)
+        sums = tuple(math.fsum(cols[j]) for cols in by_block)
         disc = max(sums) - min(sums)
         cond = _condition_name(term)
         use_tol = 0.0 if cond in _EXACT_CONDITIONS else tol

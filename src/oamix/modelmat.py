@@ -151,7 +151,7 @@ def _check_kind(design: BlockedDesign, spec: ModelSpec) -> None:
     if fam in AMOUNT_FAMILIES and design.kind != "amount":
         raise KindMismatch(f"family {fam} needs an amount design")
     if fam in (MIXTURE_AMOUNT_LINEAR, MIXTURE_AMOUNT_QUADRATIC):
-        if any(r.amount is None for r in design.runs):
+        if np.isnan(design.amount).any():
             raise KindMismatch(
                 f"family {fam} needs a total amount on every run")
 
@@ -167,20 +167,17 @@ def _coded(V: np.ndarray, A: np.ndarray, kind: str) -> np.ndarray:
 
 def _build(design: BlockedDesign, spec: ModelSpec, basis: str) -> ModelMatrix:
     _check_kind(design, spec)
-    if not design.runs:
+    if not design.n:
         raise EmptyDesign("design has no runs")
     if spec.include_block and design.n_blocks > 2:
         raise Unsupported(
             f"the block column codes 2 blocks as -1/+1; the design has "
             f"{design.n_blocks} blocks")
     terms = _terms(spec, design.m)
-    runs = design.runs
-    V = np.array([r.values for r in runs], dtype=float)
-    A = np.array([r.amount for r in runs], dtype=float)  # None -> nan
+    V, A = design.values, design.amount
     if basis == "coded":
         V = _coded(V, A, design.kind)
-    data = _fill(terms, V, np.array([r.pwo for r in runs], dtype=float),
-                 np.array([r.block for r in runs]), A)
+    data = _fill(terms, V, design.pwo.astype(float), design.block, A)
     return ModelMatrix(columns=tuple(name for name, _ in terms), data=data,
                        basis=basis)
 

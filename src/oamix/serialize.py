@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
-from typing import Optional
+import operator
 
-from .core import BlockedDesign, Run, pair_indices, validate_design
-from .errors import EmptyDesign, SchemaError
+import numpy as np
+
+from .core import BlockedDesign, pair_indices, validate_columns
+from .errors import EmptyDesign, InvalidDesign, SchemaError
 from .evaluate import FDSCurve
 
 
@@ -39,20 +42,30 @@ def _header(m: int, kind: str, with_amount: bool) -> list[str]:
     return cols
 
 
+def _formatted(a: np.ndarray, fmt) -> np.ndarray:
+    """fmt of every entry of a, as an object array of a's shape; each
+    distinct value is formatted once."""
+    distinct, which = np.unique(a, return_inverse=True)
+    cells = np.array([fmt(v) for v in distinct.tolist()], dtype=object)
+    return cells[which.reshape(a.shape)]
+
+
+# the cell of every int8 value, indexed by the value itself (negative
+# values count from the end)
+_INT8_CELLS = np.array([str(z) for z in (*range(128), *range(-128, 0))],
+                       dtype=object)
+
+
 def write_design_csv(design: BlockedDesign) -> str:
-    with_amount = any(r.amount is not None for r in design.runs)
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(_header(design.m, design.kind, with_amount))
-    for i, run in enumerate(design.runs, start=1):
-        row = [str(i)]
-        row += [fmt_num(v) for v in run.values]
-        row += [str(z) for z in run.pwo]
-        row.append(str(run.block))
-        if with_amount:
-            row.append(fmt_num(run.amount) if run.amount is not None else "")
-        w.writerow(row)
-    return out.getvalue()
+    with_amount = not np.isnan(design.amount).all()
+    header = ",".join(_header(design.m, design.kind, with_amount)) + "\n"
+    columns = [_formatted(design.values, fmt_num), _INT8_CELLS[design.pwo],
+               _formatted(design.block, str)[:, None]]
+    if with_amount:
+        columns.append(_formatted(
+            design.amount, lambda a: "" if math.isnan(a) else fmt_num(a))[:, None])
+    rows = map(",".join, np.hstack(columns).tolist())
+    return header + "".join(f"{i},{row}\n" for i, row in enumerate(rows, 1))
 
 
 def _integer(cell: str) -> int:
@@ -61,6 +74,26 @@ def _integer(cell: str) -> int:
     if not v.is_integer():
         raise ValueError(f"not an integer: {cell.strip()!r}")
     return int(v)
+
+
+def _refuse_first_bad_line(data, m: int, npairs: int, with_amount: bool):
+    """Raise SchemaError for the first data line with the wrong field count
+    or a cell that is not a number (an integer in pair and block cells),
+    reading cells in order: components, pairs, block, amount."""
+    width = 1 + m + npairs + 1 + with_amount
+    for lineno, row in enumerate(data, start=2):
+        if len(row) != width:
+            raise SchemaError(
+                f"line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            for cell in row[1:1 + m]:
+                float(cell)
+            for cell in row[1 + m:2 + m + npairs]:
+                _integer(cell)
+            if with_amount and row[-1].strip():
+                float(row[-1].strip())
+        except ValueError as e:
+            raise SchemaError(f"line {lineno}: {e}") from None
 
 
 def parse_design_csv(text: str) -> BlockedDesign:
@@ -105,35 +138,37 @@ def parse_design_csv(text: str) -> BlockedDesign:
     if kind == "amount" and not with_amount:
         raise SchemaError("amount designs require a trailing 'A' column")
 
-    runs = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise SchemaError(
-                f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            values = tuple(float(v) for v in row[1:1 + m])
-            zs = tuple(_integer(v) for v in row[1 + m:1 + m + len(expected_z)])
-            block = _integer(row[1 + m + len(expected_z)])
-            amount: Optional[float] = None
-            if with_amount:
-                cell = row[-1].strip()
-                amount = float(cell) if cell else None
-        except ValueError as e:
-            raise SchemaError(f"line {lineno}: {e}") from None
-        runs.append(Run(values, zs, block, amount))
-    if not runs:
+    data = rows[1:]
+    if not data:
         raise EmptyDesign("design file has a header but no data rows")
-
-    n_blocks = max(r.block for r in runs)
-    design = BlockedDesign(m=m, kind=kind, runs=tuple(runs),
-                           n_blocks=n_blocks, as_printed=True)
-    violations = validate_design(design)
+    npairs = len(expected_z)
+    given = ([row[-1].strip() for row in data] if with_amount
+             else [""] * len(data))
+    # components, pairs and block: one float per cell, then the checks on
+    # the whole array; the line is looked for only when a check fails
+    k = m + npairs + 1
+    try:
+        if set(map(len, data)) != {len(header)}:
+            raise ValueError
+        cells = np.fromiter(map(float, itertools.chain.from_iterable(
+            map(operator.itemgetter(slice(1, 1 + k)), data))),
+            dtype=float, count=len(data) * k)
+        F = cells.reshape(len(data), k)
+        integral = F[:, m:]
+        if not (np.isfinite(integral) & (np.floor(integral) == integral)).all():
+            raise ValueError
+        amount = np.array([float(c) if c else math.nan for c in given])
+    except ValueError:
+        _refuse_first_bad_line(data, m, npairs, with_amount)
+        raise
+    V, Z, B = F[:, :m], F[:, m:m + npairs], F[:, -1]
+    n_blocks = int(B.max())
+    violations = validate_columns(m, kind, n_blocks, True, V, Z, B, amount,
+                                  [c != "" for c in given])
     if violations:
-        detail = "; ".join(
-            f"run {v.run_index + 1 if v.run_index is not None else '-'}: "
-            f"{v.rule} ({v.message})" for v in violations[:8])
-        raise SchemaError(f"design fails validation: {detail}")
-    return design
+        raise InvalidDesign(violations)
+    return BlockedDesign.from_arrays(m, kind, V, Z, B, amount, n_blocks,
+                                     as_printed=True)
 
 
 def _nice_step(span: float) -> float:

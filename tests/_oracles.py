@@ -1,12 +1,126 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's own linear-algebra kernel so that
-agreement between the two is evidence, not tautology.
+agreement between the two is evidence, not tautology. The per-run design
+oracles (expansion, CSV writing, structural validation) loop over Run
+objects one at a time, the way the library did before designs were held
+as columns.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
+
 import numpy as np
+
+from oamix.core import (AMOUNT_SUM_TOL, AS_PRINTED_SUM_TOL,
+                        PROPORTION_SUM_TOL, Run, Violation, n_pairs,
+                        pair_indices)
+from oamix.pwo import enumerate_orderings
+from oamix.serialize import _header, fmt_num
+
+
+def expand_runs(runs) -> list[Run]:
+    """Each run replaced by one run per addition order, in
+    enumerate_orderings order."""
+    return [Run(r.values, vec, r.block, r.amount)
+            for r in runs for vec in enumerate_orderings(r.values)]
+
+
+def design_csv(m: int, kind: str, runs) -> str:
+    """The design file, written one run and one cell at a time."""
+    with_amount = any(r.amount is not None for r in runs)
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(_header(m, kind, with_amount))
+    for i, run in enumerate(runs, start=1):
+        row = [str(i)]
+        row += [fmt_num(v) for v in run.values]
+        row += [str(z) for z in run.pwo]
+        row.append(str(run.block))
+        if with_amount:
+            row.append(fmt_num(run.amount) if run.amount is not None else "")
+        w.writerow(row)
+    return out.getvalue()
+
+
+def run_violations(m: int, kind: str, runs, n_blocks: int,
+                   as_printed: bool = False) -> list[Violation]:
+    """Every structural rule but the support-pair ones (pwo_partial,
+    pwo_cyclic), checked run by run. A non-finite amount is reported once,
+    as non_finite_value, and not compared with the value sum."""
+    out: list[Violation] = []
+    npairs = n_pairs(m)
+    pairs = pair_indices(m)
+    sum_tol = AS_PRINTED_SUM_TOL if as_printed else PROPORTION_SUM_TOL
+
+    if m < 2:
+        out.append(Violation(None, "component_count",
+                             f"m must be >= 2, got {m}"))
+    if kind not in ("proportion", "amount"):
+        out.append(Violation(None, "kind", f"unknown design kind {kind!r}"))
+    if not runs:
+        out.append(Violation(None, "empty_design", "design has no runs"))
+
+    for idx, run in enumerate(runs):
+        if len(run.values) != m:
+            out.append(Violation(idx, "values_length",
+                                 f"expected {m} values, got {len(run.values)}"))
+            continue
+        for i, v in enumerate(run.values, start=1):
+            if not math.isfinite(v):
+                out.append(Violation(idx, "non_finite_value",
+                                     f"component {i} is {v}"))
+            elif v < 0:
+                out.append(Violation(idx, "negative_value",
+                                     f"component {i} is negative ({v})"))
+        if run.amount is not None and not math.isfinite(run.amount):
+            out.append(Violation(idx, "non_finite_value",
+                                 f"amount is {run.amount}"))
+        if len(run.pwo) != npairs:
+            out.append(Violation(idx, "pwo_length",
+                                 f"expected {npairs} pwo entries, "
+                                 f"got {len(run.pwo)}"))
+        else:
+            for (j, k), z in zip(pairs, run.pwo):
+                if z not in (-1, 0, 1):
+                    out.append(Violation(idx, "pwo_entry_range",
+                                         f"z{j}{k} = {z} not in {{-1,0,+1}}"))
+                elif z != 0 and (run.values[j - 1] == 0
+                                 or run.values[k - 1] == 0):
+                    out.append(Violation(
+                        idx, "pwo_nonzero_for_zero_component",
+                        f"z{j}{k} = {z:+d} but component "
+                        f"{j if run.values[j - 1] == 0 else k} is 0"))
+        if kind == "proportion":
+            s = sum(run.values)
+            if abs(s - 1.0) > sum_tol:
+                out.append(Violation(idx, "proportion_sum",
+                                     f"values sum to {s}, expected 1"))
+        elif kind == "amount":
+            if run.amount is None:
+                out.append(Violation(idx, "amount_mismatch",
+                                     "amount kind requires a total amount"))
+            elif math.isfinite(run.amount):
+                s = sum(run.values)
+                if abs(run.amount - s) > AMOUNT_SUM_TOL:
+                    out.append(Violation(
+                        idx, "amount_mismatch",
+                        f"amount {run.amount} != value sum {s}"))
+                if run.amount < 0:
+                    out.append(Violation(idx, "negative_amount",
+                                         f"amount {run.amount} < 0"))
+        if not (1 <= run.block <= n_blocks):
+            out.append(Violation(idx, "block_label_range",
+                                 f"block {run.block} outside 1..{n_blocks}"))
+
+    seen_blocks = {r.block for r in runs}
+    for b in range(1, n_blocks + 1):
+        if b not in seen_blocks:
+            out.append(Violation(None, "empty_block", f"block {b} has no runs"))
+    return out
 
 
 def cofactor_det(M: np.ndarray) -> float:
@@ -50,3 +164,30 @@ def mc_t_test_power(ncp: float, df: int, alpha: float, n_reps: int,
     z = rng.standard_normal(n_reps) + ncp
     s = np.sqrt(rng.chisquare(df, n_reps) / df)
     return float(np.mean(np.abs(z / s) > tcrit))
+
+
+def support_pair_rules(m: int, runs) -> list[tuple[int, str]]:
+    """(run index, rule) for pwo_partial and pwo_cyclic, from
+    permutation_from_pwo over each run's nonzero components; runs with a
+    pwo entry outside {-1, 0, +1} are not judged."""
+    from oamix.errors import InconsistentPWO
+    from oamix.pwo import permutation_from_pwo
+
+    out = []
+    for idx, run in enumerate(runs):
+        if any(z not in (-1, 0, 1) for z in run.pwo):
+            continue
+        support = {i for i, v in enumerate(run.values, start=1) if v != 0}
+        on = [(j in support and k in support) for j, k in pair_indices(m)]
+        zs = [z for z, o in zip(run.pwo, on) if o]
+        if not any(zs):
+            continue  # unordered, or no pairs to order
+        if 0 in zs:
+            out.append((idx, "pwo_partial"))
+            continue
+        try:
+            permutation_from_pwo([z if o else 0 for z, o in zip(run.pwo, on)],
+                                 support, m)
+        except InconsistentPWO:
+            out.append((idx, "pwo_cyclic"))
+    return out

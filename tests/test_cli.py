@@ -186,6 +186,21 @@ def test_non_finite_amount_is_a_data_error(tmp_path, capsys):
     assert "non_finite_value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--model", "scheffe-q"], ["check-blocks", "--model", "scheffe-q"],
+    ["expand", "-o", "out.csv"]])
+@pytest.mark.parametrize("pwo, rule", [("1,-1,1", "pwo_cyclic"),
+                                       ("1,0,0", "pwo_partial")])
+def test_partial_or_cyclic_pwo_is_a_data_error(tmp_path, capsys, command,
+                                               pwo, rule):
+    # run 7 is the first full-support centroid of czitrom-d-oofa
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    t3.write_text(t3.read_text().replace("\n7,0.333,0.333,0.334,1,1,1,1\n",
+                                         f"\n7,0.333,0.333,0.334,{pwo},1\n"))
+    assert run_cli(command[0], "-i", str(t3), *command[1:]) == 3
+    assert f"run 7: {rule}" in capsys.readouterr().err
+
+
 def test_fractional_block_is_a_data_error(tmp_path, capsys):
     t3 = catalog_file(tmp_path, "czitrom-d-oofa")
     t3.write_text(t3.read_text().replace("\n1,0.168,0.832,0,1,0,0,1\n",
