@@ -18,7 +18,7 @@ print()
 # all addition orders of the centroid, with the ordering each row encodes
 print("centroid orderings (z12, z13, z23) and the order they encode:")
 for z in enumerate_orderings((1 / 3, 1 / 3, 1 / 3)):
-    order = tuple(permutation_from_pwo(z, {1, 2, 3}))
+    order = permutation_from_pwo(z, {1, 2, 3})
     print(f"  z={z}  add order {order}")
 print()
 

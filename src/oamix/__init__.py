@@ -2,8 +2,8 @@
 blocks: catalog designs, pairwise-ordering machinery, model matrices,
 design evaluation, and least-squares fitting."""
 
-from .core import (BlockedDesign, ModelMatrix, ModelSpec, Permutation, Run,
-                   Violation, pair_indices, validate_design)
+from .core import (BlockedDesign, ModelMatrix, ModelSpec, Run, Violation,
+                   pair_indices, validate_design)
 from .catalog import (CATALOG, aggarwal_a_oofa, aggarwal_a_optimal,
                       component_amount_projection_design, czitrom_d_oofa,
                       czitrom_d_optimal, oofa_expand)
@@ -21,8 +21,8 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockedDesign", "ModelMatrix", "ModelSpec", "Permutation", "Run",
-    "Violation", "pair_indices", "validate_design",
+    "BlockedDesign", "ModelMatrix", "ModelSpec", "Run", "Violation",
+    "pair_indices", "validate_design",
     "CATALOG", "aggarwal_a_oofa", "aggarwal_a_optimal",
     "component_amount_projection_design", "czitrom_d_oofa",
     "czitrom_d_optimal", "oofa_expand",

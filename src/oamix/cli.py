@@ -129,12 +129,7 @@ def _cmd_check_blocks(args) -> int:
     spec = _spec_from_args(args, design.m)
     report = check_orthogonal_blocking(design, spec, tol=args.tol)
     if args.json:
-        obj = {
-            "passed": report.passed,
-            "tol": report.tol,
-            "conditions": [c._asdict() for c in report.conditions],
-        }
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(dataclasses.asdict(report), indent=2))
     else:
         print(f"{'condition':<20} {'term':<12} {'discrepancy':>12} "
               f"{'tol':>8}  result")
@@ -159,9 +154,7 @@ def _cmd_eval(args) -> int:
         eval_points = build_model_matrix(other, spec).data
     report = criteria_report(X, eval_points)
     if args.json:
-        obj = dataclasses.asdict(report)
-        obj["columns"] = [c._asdict() for c in report.columns]
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(dataclasses.asdict(report), indent=2))
         return 0
     print(f"n={report.n}  p={report.p}")
     print(f"det_xtx      {report.det_xtx:.6g}")

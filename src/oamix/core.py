@@ -198,22 +198,6 @@ class BlockedDesign:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """An addition order over a support set: each element appears once."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self):
-        return iter(self.order)
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Which model family and which optional column groups to build."""
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import BlockedDesign, ModelMatrix, ModelSpec, n_pairs
 from .errors import InsufficientDF, NothingToCheck
-from .linalg import det_xtx, inverse, log_det_xtx
+from .linalg import det_xtx, log_det_xtx
 from .modelmat import build_model_matrix, model_rows
 from .pwo import pwo_from_run
 
@@ -46,7 +46,8 @@ CONVENTION_NOTES = (
 )
 
 
-class ConditionCheck(NamedTuple):
+@dataclass(frozen=True)
+class ConditionCheck:
     condition: str
     term: str
     block_sums: tuple[float, ...]
@@ -57,9 +58,9 @@ class ConditionCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class BlockingReport:
-    conditions: tuple[ConditionCheck, ...]
     passed: bool
     tol: float
+    conditions: tuple[ConditionCheck, ...]
 
     def failed(self) -> tuple[ConditionCheck, ...]:
         return tuple(c for c in self.conditions if not c.ok)
@@ -72,10 +73,10 @@ def _condition_name(term: str) -> str:
         return "interaction_sum"
     if term.startswith("z"):
         return "pwo_sum"
-    if "^2" in term:
-        return "square_sum"
     if "*A" in term:
         return "amount_product_sum"
+    if "^2" in term:
+        return "square_sum"
     if "*" in term:
         return "cross_product_sum"
     return "component_sum"
@@ -111,11 +112,12 @@ def check_orthogonal_blocking(design: BlockedDesign, spec: ModelSpec,
         use_tol = 0.0 if cond in _EXACT_CONDITIONS else tol
         records.append(ConditionCheck(cond, term, sums, disc, use_tol,
                                       disc <= use_tol))
-    return BlockingReport(conditions=tuple(records),
-                          passed=all(r.ok for r in records), tol=tol)
+    return BlockingReport(passed=all(r.ok for r in records), tol=tol,
+                          conditions=tuple(records))
 
 
-class ColumnStats(NamedTuple):
+@dataclass(frozen=True)
+class ColumnStats:
     name: str
     se: float
     r_squared: float
@@ -151,17 +153,19 @@ def _column_r2(X: ModelMatrix, inv: np.ndarray) -> list[float]:
     return (1.0 - (1.0 / np.diag(inv)) / tss).tolist()
 
 
-def _power(se: np.ndarray, df: int, sigma: float, alpha: float,
+def _power(se: np.ndarray, df: int, alpha: float,
            effect_sd: float) -> np.ndarray:
     """Two-sided noncentral-t power for every standard error in se.
 
-    scipy.special is imported here so that only the commands reporting
-    power load it. The upper tail uses sf(t; df, ncp) = F(-t; df, -ncp),
-    which matches scipy.stats.nct.sf bit for bit where 1 - F does not.
+    se is in units of sigma, so the noncentrality effect_sd/se does not
+    depend on sigma. scipy.special is imported here so that only the
+    commands reporting power load it. The upper tail uses
+    sf(t; df, ncp) = F(-t; df, -ncp), which matches scipy.stats.nct.sf bit
+    for bit where 1 - F does not.
     """
     from scipy import special
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
-    ncp = effect_sd * sigma / se
+    ncp = effect_sd / se
     hi = special.nctdtr(df, -ncp, -tcrit)
     lo = special.nctdtr(df, ncp, -tcrit)
     # far lower tail under a large noncentrality; negligible mass
@@ -177,7 +181,7 @@ def criteria_report(X: ModelMatrix,
     explicit point set (rows in the same column basis) is supplied.
     """
     f = X.factor
-    det_m, inv = det_xtx(f), inverse(f)
+    inv = f.inv
     n, p = X.n, X.p
     pts = X.data if eval_points is None else np.asarray(eval_points, float)
     pv = _point_variances(pts, inv)
@@ -187,12 +191,12 @@ def criteria_report(X: ModelMatrix,
     ses = np.sqrt(np.diag(inv))
     r2 = _column_r2(X, inv)
     df = n - p
-    power = (_power(ses, df, 1.0, 0.05, 2.0) if df > 0
+    power = (_power(ses, df, 0.05, 2.0) if df > 0
              else np.full(p, math.nan))
     cols = tuple(ColumnStats(name, float(se), r, float(pw))
                  for name, se, r, pw in zip(X.columns, ses, r2, power))
     return EvalReport(
-        n=n, p=p, det_xtx=float(det_m),
+        n=n, p=p, det_xtx=det_xtx(f),
         d_criterion=math.exp(log_det_xtx(f) / p) / n,
         a_criterion=float(np.trace(inv)),
         max_pv=max_pv, avg_pv=avg_pv, g_efficiency=g_eff,
@@ -233,7 +237,7 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     X = build_model_matrix(design, spec)
-    inv = inverse(X.factor)
+    inv = X.factor.inv
     m = design.m
     perms = list(itertools.permutations(range(1, m + 1)))
     levels = design.amount_levels()
@@ -270,20 +274,19 @@ class PowerRow(NamedTuple):
     power: float
 
 
-def power_table(X: ModelMatrix, sigma: float = 1.0, alpha: float = 0.05,
+def power_table(X: ModelMatrix, alpha: float = 0.05,
                 effect_sd: float = 2.0) -> dict[str, PowerRow]:
     """Per-coefficient standard error and detection power.
 
-    se_j = sigma*sqrt((X'X)^-1_jj); power is the two-sided noncentral-t
-    probability of detecting a coefficient of effect_sd*sigma at the given
-    level with n - p error degrees of freedom.
+    se_j = sqrt((X'X)^-1_jj) in units of sigma; power is the two-sided
+    noncentral-t probability of detecting a coefficient of effect_sd*sigma
+    at the given level with n - p error degrees of freedom.
     """
     n, p = X.n, X.p
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}: no residual degrees of freedom")
-    inv = inverse(X.factor)
-    ses = sigma * np.sqrt(np.diag(inv))
-    power = _power(ses, n - p, sigma, alpha, effect_sd)
+    ses = np.sqrt(np.diag(X.factor.inv))
+    power = _power(ses, n - p, alpha, effect_sd)
     return {name: PowerRow(se=float(se), power=float(pw))
             for name, se, pw in zip(X.columns, ses, power)}
 
@@ -297,5 +300,4 @@ def term_r_squared(X: ModelMatrix) -> dict[str, float]:
     """
     if X.p < 2:
         raise ValueError("need at least 2 columns")
-    inv = inverse(X.factor)
-    return dict(zip(X.columns, _column_r2(X, inv)))
+    return dict(zip(X.columns, _column_r2(X, X.factor.inv)))

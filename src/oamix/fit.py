@@ -9,7 +9,7 @@ import numpy as np
 from .core import ModelMatrix
 from .errors import InsufficientDF, SchemaError
 from .evaluate import _point_variances
-from .linalg import inverse, lstsq
+from .linalg import lstsq
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,13 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}")
     f = X.factor  # raises SingularMatrix with column names
-    inv = inverse(f)
     beta = lstsq(f, y)
     fitted = X.data @ beta
     resid = y - fitted
     rss = float(resid @ resid)
     df = n - p
     sigma_hat = np.sqrt(rss / df)
-    se = sigma_hat * np.sqrt(np.diag(inv))
+    se = sigma_hat * np.sqrt(np.diag(f.inv))
     ones = np.ones(n)  # the columns span a constant if ones fits exactly
     if np.max(np.abs(X.data @ lstsq(f, ones) - ones)) <= 1e-8:
         tss = float(np.sum((y - y.mean()) ** 2))
@@ -68,7 +67,7 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
         r_squared=float(r2),
         residuals=tuple(float(r) for r in resid),
         fitted=tuple(float(f) for f in fitted),
-        info_inv=inv)
+        info_inv=f.inv)
 
 
 def predict(fit: FitResult, X_new: ModelMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ result does not depend on the units of the columns. Householder QR of Xs
 gives the p x p triangle R (Q is never formed), and the SVD R = U S V'
 gives everything downstream: the rank, det(X'X), (X'X)^-1, least-squares
 solves, and the columns to blame when X is rank deficient (Golub & Van
-Loan, Matrix Computations, ch. 5).
+Loan, Matrix Computations, ch. 5). (X'X)^-1 is formed here, once per
+factorization, and every report reads it from Factor.inv.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class Factor(NamedTuple):
     norms: np.ndarray  # the column norms D
     s: np.ndarray      # singular values of Xs, descending
     W: np.ndarray      # V S^-1, so that (Xs'Xs)^-1 = W W'
+    inv: np.ndarray    # (X'X)^-1 = D^-1 W W' D^-1, symmetric by construction
 
 
 def _dependent(R: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -62,26 +64,24 @@ def factor(X) -> Factor:
         raise SingularMatrix(
             f"model matrix has rank {r} of {p} columns (equilibrated "
             f"condition number {cond:.3g})", offending=_dependent(R, tol))
-    f = Factor(Xs=Xs, norms=norms, s=s, W=Vt.T / s)
+    W = Vt.T / s
+    Wd = W / norms[:, None]
+    f = Factor(Xs=Xs, norms=norms, s=s, W=W, inv=Wd @ Wd.T)
     for a in f:
         a.flags.writeable = False
     return f
 
 
 def det_xtx(f: Factor) -> float:
-    """det(X'X) = det(D)^2 * prod(s)^2."""
-    return float(np.prod((f.s * f.norms) ** 2))
+    """det(X'X) = det(D)^2 * prod(s)^2, the plain product: inf or 0 where
+    it leaves the float range (log_det_xtx stays finite)."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.prod((f.s * f.norms) ** 2))
 
 
 def log_det_xtx(f: Factor) -> float:
     """log det(X'X), finite wherever X has full rank."""
     return 2.0 * float(np.sum(np.log(f.s * f.norms)))
-
-
-def inverse(f: Factor) -> np.ndarray:
-    """(X'X)^-1 = D^-1 W W' D^-1, symmetric by construction."""
-    Wd = f.W / f.norms[:, None]
-    return Wd @ Wd.T
 
 
 def lstsq(f: Factor, y) -> np.ndarray:

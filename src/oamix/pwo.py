@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .core import Permutation, pair_indices
+from .core import pair_indices
 from .errors import (EmptySupport, InconsistentPWO, InvalidPermutation,
                      SupportMismatch)
 
 
-def _positions(perm: Permutation | Sequence[int]) -> dict[int, int]:
+def _positions(perm: Sequence[int]) -> dict[int, int]:
     order = tuple(perm)
     pos = {e: i for i, e in enumerate(order)}
     if len(pos) != len(order):
@@ -24,7 +24,7 @@ def _positions(perm: Permutation | Sequence[int]) -> dict[int, int]:
     return pos
 
 
-def pwo_from_permutation(perm: Permutation | Sequence[int], m: int) -> tuple[int, ...]:
+def pwo_from_permutation(perm: Sequence[int], m: int) -> tuple[int, ...]:
     """PWO vector of a full addition order on all m components; no zeros."""
     pos = _positions(perm)
     if set(pos) != set(range(1, m + 1)):
@@ -33,7 +33,8 @@ def pwo_from_permutation(perm: Permutation | Sequence[int], m: int) -> tuple[int
     return tuple(1 if pos[j] < pos[k] else -1 for j, k in pair_indices(m))
 
 
-def pwo_from_run(values: Sequence[float], perm: Permutation | Sequence[int]) -> tuple[int, ...]:
+def pwo_from_run(values: Sequence[float],
+                 perm: Sequence[int]) -> tuple[int, ...]:
     """PWO vector of an ordering over a run's support.
 
     Pairs touching an absent component get 0; support pairs get +/-1 by
@@ -55,7 +56,7 @@ def pwo_from_run(values: Sequence[float], perm: Permutation | Sequence[int]) -> 
 
 
 def permutation_from_pwo(pwo: Sequence[int], support: Iterable[int],
-                         m: int | None = None) -> Permutation:
+                         m: int | None = None) -> tuple[int, ...]:
     """Recover the unique addition order encoded by a PWO vector.
 
     Uses counting sort on precedence out-degrees: a transitive pattern on s
@@ -93,7 +94,7 @@ def permutation_from_pwo(pwo: Sequence[int], support: Iterable[int],
     if sorted(wins.values(), reverse=True) != list(range(s - 1, -1, -1)):
         raise InconsistentPWO(
             f"precedence out-degrees {wins} do not form a total order")
-    return Permutation(tuple(by_wins))
+    return tuple(by_wins)
 
 
 def enumerate_orderings(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:

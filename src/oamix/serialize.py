@@ -20,7 +20,8 @@ import operator
 
 import numpy as np
 
-from .core import BlockedDesign, pair_indices, validate_columns
+from .core import (BlockedDesign, pair_indices, validate_columns,
+                   validate_design)
 from .errors import EmptyDesign, InvalidDesign, SchemaError
 from .evaluate import FDSCurve
 
@@ -57,6 +58,11 @@ _INT8_CELLS = np.array([str(z) for z in (*range(128), *range(-128, 0))],
 
 
 def write_design_csv(design: BlockedDesign) -> str:
+    """The design file of a design; InvalidDesign names each run holding a
+    NaN or infinite component or amount, which no cell can hold."""
+    if not np.isfinite(design.values).all() or np.isinf(design.amount).any():
+        raise InvalidDesign([v for v in validate_design(design)
+                             if v.rule == "non_finite_value"])
     with_amount = not np.isnan(design.amount).all()
     header = ",".join(_header(design.m, design.kind, with_amount)) + "\n"
     columns = [_formatted(design.values, fmt_num), _INT8_CELLS[design.pwo],
@@ -162,7 +168,8 @@ def parse_design_csv(text: str) -> BlockedDesign:
         _refuse_first_bad_line(data, m, npairs, with_amount)
         raise
     V, Z, B = F[:, :m], F[:, m:m + npairs], F[:, -1]
-    n_blocks = int(B.max())
+    # n runs fill at most n blocks: a larger label is out of range
+    n_blocks = min(int(B.max()), len(data))
     violations = validate_columns(m, kind, n_blocks, True, V, Z, B, amount,
                                   [c != "" for c in given])
     if violations:

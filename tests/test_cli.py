@@ -92,6 +92,7 @@ def test_check_blocks_json(tmp_path, capsys):
     assert run_cli("check-blocks", "-i", str(t3), "--model", "scheffe-q",
                    "--json") == 0
     obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == ["passed", "tol", "conditions"]
     assert obj["passed"] is True
     assert {c["condition"] for c in obj["conditions"]} >= {"pwo_sum"}
 

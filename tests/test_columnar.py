@@ -135,7 +135,7 @@ def test_validate_matches_the_run_by_run_rules(d):
 @given(designs(plants=FINITE_PLANTS))
 def test_parser_reports_the_run_by_run_rules(d):
     text = write_design_csv(d)
-    n_blocks = int(d.block.max())
+    n_blocks = min(int(d.block.max()), d.n)
     if d.kind == "amount" and np.isnan(d.amount).all():
         with pytest.raises(SchemaError, match="require a trailing 'A' column"):
             parse_design_csv(text)

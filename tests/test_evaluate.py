@@ -66,6 +66,20 @@ def test_blocking_covers_all_condition_families():
             assert c.ok, c
 
 
+def test_mixture_amount_terms_are_amount_products():
+    d = czitrom_d_oofa()
+    amount = np.where(np.arange(d.n) % 2 == 0, 1.0, 2.0)
+    d = BlockedDesign.from_arrays(d.m, d.kind, d.values, d.pwo, d.block,
+                                  amount, d.n_blocks, as_printed=True)
+    report = check_orthogonal_blocking(
+        d, ModelSpec("mixture_amount_quadratic"))
+    names = {c.term: c.condition for c in report.conditions}
+    for term in ("x1*A", "x2*x3*A", "x1*A^2", "x2*x3*A^2"):
+        assert names[term] == "amount_product_sum"
+    assert set(names.values()) == {"component_sum", "cross_product_sum",
+                                   "amount_product_sum"}
+
+
 def test_blocking_fails_with_named_condition():
     d = czitrom_d_oofa()
     runs = list(d.runs)
@@ -156,10 +170,12 @@ def test_analyses_of_one_matrix_share_one_factorization(qr_calls):
     X = build_model_matrix(czitrom_d_oofa(), scheffe_spec())
     y = np.arange(X.n, dtype=float)
     criteria_report(X)
-    predict(ols_fit(X, y), X)
     power_table(X)
     term_r_squared(X)
+    fit = ols_fit(X, y)
+    predict(fit, X)
     assert len(qr_calls) == 1
+    assert fit.info_inv is X.factor.inv  # the one inverse, not a copy
 
 
 def test_singular_matrix_names_columns_on_every_call(qr_calls):
@@ -312,7 +328,7 @@ def test_fds_rejects_bad_sample_count():
 
 def test_power_single_column_matches_monte_carlo():
     X = ModelMatrix(("c",), np.ones((4, 1)))
-    table = power_table(X, sigma=1.0)
+    table = power_table(X)
     assert table["c"].se == pytest.approx(0.5)
     assert table["c"].power == pytest.approx(POWER_SE_HALF_DF3, abs=1e-4)
     mc = mc_t_test_power(ncp=4.0, df=3, alpha=0.05, n_reps=10 ** 6,

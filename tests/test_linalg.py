@@ -3,19 +3,19 @@ import pytest
 
 from _oracles import cofactor_det, cofactor_inverse
 from oamix.errors import SingularMatrix
-from oamix.linalg import det_xtx, factor, inverse, lstsq
+from oamix.linalg import det_xtx, factor, lstsq
 
 
 def test_det_inv_diagonal():
     f = factor(np.diag([2.0, 4.0]))
     assert det_xtx(f) == pytest.approx(64.0)
-    assert np.allclose(inverse(f), np.diag([0.25, 0.0625]))
+    assert np.allclose(f.inv, np.diag([0.25, 0.0625]))
 
 
 def test_det_inv_identity():
     f = factor(np.eye(5))
     assert det_xtx(f) == pytest.approx(1.0)
-    assert np.allclose(inverse(f), np.eye(5))
+    assert np.allclose(f.inv, np.eye(5))
 
 
 def test_det_matches_cofactor_oracle():
@@ -33,14 +33,14 @@ def test_inverse_matches_cofactor_oracle():
         M = rng.uniform(-1, 1, (9, 5))
         inv_oracle = cofactor_inverse(M.T @ M)
         scale = max(1.0, float(np.abs(inv_oracle).max()))
-        assert np.max(np.abs(inverse(factor(M)) - inv_oracle)) <= 1e-9 * scale
+        assert np.max(np.abs(factor(M).inv - inv_oracle)) <= 1e-9 * scale
 
 
 def test_inverse_residual_small():
     rng = np.random.default_rng(13)
     for _ in range(10):
         M = rng.uniform(-1, 1, (8, 8)) + 8 * np.eye(8)
-        inv = inverse(factor(M))
+        inv = factor(M).inv
         assert np.max(np.abs(M.T @ M @ inv - np.eye(8))) <= 1e-8
 
 
@@ -84,7 +84,7 @@ def test_column_units_do_not_change_the_answer():
     f, fu = factor(X), factor(X * units)
     assert det_xtx(fu) == pytest.approx(det_xtx(f) * np.prod(units) ** 2,
                                         rel=1e-12)
-    assert np.allclose(inverse(fu) * np.outer(units, units), inverse(f),
+    assert np.allclose(fu.inv * np.outer(units, units), f.inv,
                        rtol=1e-12, atol=0)
     y = rng.normal(size=12)
     assert np.allclose(lstsq(fu, y) * units, lstsq(f, y), rtol=1e-12,
@@ -94,7 +94,7 @@ def test_column_units_do_not_change_the_answer():
 def test_symmetric_inverse_is_symmetric():
     rng = np.random.default_rng(29)
     A = rng.normal(size=(7, 7)) + 7 * np.eye(7)
-    inv = inverse(factor(A))
+    inv = factor(A).inv
     assert np.max(np.abs(inv - inv.T)) <= 1e-10
 
 

@@ -94,6 +94,6 @@ def test_power_grid_equals_scipy_stats():
     for alpha in ALPHAS:
         for df in range(1, 60):
             se = 2.0 / ncp
-            got = _power(se, df, 1.0, alpha, 2.0)
+            got = _power(se, df, alpha, 2.0)
             want = stats_power(se, df, 1.0, alpha, 2.0)
             assert np.array_equal(got, want), (alpha, df)

@@ -47,8 +47,8 @@ def test_pwo_from_run_support_mismatch():
 
 
 def test_permutation_from_pwo_examples():
-    assert tuple(permutation_from_pwo((1, 1, 1), {1, 2, 3})) == (1, 2, 3)
-    assert tuple(permutation_from_pwo((-1, 1, 1), {1, 2, 3})) == (2, 1, 3)
+    assert permutation_from_pwo((1, 1, 1), {1, 2, 3}) == (1, 2, 3)
+    assert permutation_from_pwo((-1, 1, 1), {1, 2, 3}) == (2, 1, 3)
 
 
 def test_permutation_from_pwo_detects_cycles():
@@ -88,7 +88,7 @@ def test_round_trip_all_supports_m3():
             for perm in itertools.permutations(support):
                 z = pwo_from_run(v, perm)
                 back = permutation_from_pwo(z, support)
-                assert tuple(back) == perm
+                assert back == perm
 
 
 def test_reversal_negates_nonzero_entries():

@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from oamix.catalog import (component_amount_projection_design, czitrom_d_oofa,
                            czitrom_d_optimal)
+from oamix.core import BlockedDesign, Run
 from oamix.errors import InvalidDesign, SchemaError
 from oamix.serialize import parse_design_csv, write_design_csv
 
@@ -98,3 +100,28 @@ def test_empty_amount_cell_is_absent():
     assert d.amount[0] == 50.0 and np.isnan(d.amount[1:]).all()
     assert d.runs[1].amount is None
     assert write_design_csv(d) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("label", ["400000", "1e9", "1e300"])
+def test_huge_block_label_is_refused_at_once(label):
+    # 24 runs fill at most 24 blocks, so the label is out of range; the
+    # refusal must not list every empty label up to it
+    start = time.perf_counter()
+    with pytest.raises(InvalidDesign) as exc:
+        parse_design_csv(with_cell(BLOCK, label))
+    assert time.perf_counter() - start < 1.0
+    assert (0, "block_label_range") in [(v.run_index, v.rule)
+                                        for v in exc.value.violations]
+    assert len(exc.value.violations) <= 24
+
+
+@pytest.mark.parametrize("component, amount", [
+    (math.nan, None), (math.inf, None), (-math.inf, None), (0.5, math.inf)])
+def test_writer_refuses_non_finite_values_by_run(component, amount):
+    runs = list(czitrom_d_optimal().runs)
+    runs[2] = Run((component, 0.5, 0.0), (0, 0, 0), amount=amount)
+    d = BlockedDesign(3, "proportion", runs, 2)
+    with pytest.raises(InvalidDesign) as exc:
+        write_design_csv(d)
+    assert [(v.run_index, v.rule) for v in exc.value.violations] == \
+        [(2, "non_finite_value")]
