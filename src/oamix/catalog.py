@@ -6,10 +6,11 @@ designs), their order-of-addition expansions, and a 36-run order-of-addition
 component-amount design obtained by projecting a simplex lattice onto three
 components at four total-amount levels.
 
-Values are stored exactly as conventionally printed (0.168/0.832,
-0.239/0.761, centroid split 0.333/0.333/0.334, lattice levels 0.24/0.76)
-rather than re-derived from closed forms, so matrices built from them match
-published analyses digit for digit.
+Values are the printed ones (edge pairs 0.168/0.832 and 0.239/0.761 placed
+by a Latin-square rule, centroid 0.333/0.333/0.334, lattice levels
+0.24/0.76), not closed forms, so matrices built from them match published
+analyses digit for digit. No ordering is tabulated: every PWO column in the
+catalog is oofa_expand of an unordered base design.
 """
 
 from __future__ import annotations
@@ -18,134 +19,44 @@ import functools
 
 import numpy as np
 
-from .core import BlockedDesign
-from .errors import AlreadyExpanded, InvalidAmount
-from .pwo import enumerate_orderings
+from .core import BlockedDesign, _incidence
+from .errors import AlreadyExpanded, EmptySupport, InvalidAmount
+from .pwo import enumerate_orderings, permutation_from_pwo
 
-# rows: (x1, x2, x3, block)
-_CZITROM_BASE = (
-    (0.168, 0.832, 0, 1),
-    (0.832, 0, 0.168, 1),
-    (0, 0.168, 0.832, 1),
-    (0.333, 0.333, 0.334, 1),
-    (0.168, 0, 0.832, 2),
-    (0.832, 0.168, 0, 2),
-    (0, 0.832, 0.168, 2),
-    (0.333, 0.333, 0.334, 2),
-)
+_CENTROID = (0.333, 0.333, 0.334)
 
-_AGGARWAL_BASE = (
-    (0.239, 0.761, 0, 1),
-    (0.761, 0, 0.239, 1),
-    (0, 0.239, 0.761, 1),
-    (0.333, 0.333, 0.334, 1),
-    (0.239, 0, 0.761, 2),
-    (0.761, 0.239, 0, 2),
-    (0, 0.761, 0.239, 2),
-    (0.333, 0.333, 0.334, 2),
-)
-
-# rows: (x1, x2, x3, z12, z13, z23, block)
-_CZITROM_OOFA = (
-    (0.168, 0.832, 0, 1, 0, 0, 1),
-    (0.168, 0.832, 0, -1, 0, 0, 1),
-    (0.832, 0, 0.168, 0, -1, 0, 1),
-    (0.832, 0, 0.168, 0, 1, 0, 1),
-    (0, 0.168, 0.832, 0, 0, 1, 1),
-    (0, 0.168, 0.832, 0, 0, -1, 1),
-    (0.333, 0.333, 0.334, 1, 1, 1, 1),
-    (0.333, 0.333, 0.334, 1, 1, -1, 1),
-    (0.333, 0.333, 0.334, 1, -1, -1, 1),
-    (0.333, 0.333, 0.334, -1, 1, 1, 1),
-    (0.333, 0.333, 0.334, -1, -1, 1, 1),
-    (0.333, 0.333, 0.334, -1, -1, -1, 1),
-    (0.168, 0, 0.832, 0, 1, 0, 2),
-    (0.168, 0, 0.832, 0, -1, 0, 2),
-    (0.832, 0.168, 0, -1, 0, 0, 2),
-    (0.832, 0.168, 0, 1, 0, 0, 2),
-    (0, 0.832, 0.168, 0, 0, -1, 2),
-    (0, 0.832, 0.168, 0, 0, 1, 2),
-    (0.333, 0.333, 0.334, 1, 1, 1, 2),
-    (0.333, 0.333, 0.334, 1, 1, -1, 2),
-    (0.333, 0.333, 0.334, 1, -1, -1, 2),
-    (0.333, 0.333, 0.334, -1, 1, 1, 2),
-    (0.333, 0.333, 0.334, -1, -1, 1, 2),
-    (0.333, 0.333, 0.334, -1, -1, -1, 2),
-)
-
-_AGGARWAL_OOFA = (
-    (0.239, 0.761, 0, 1, 0, 0, 1),
-    (0.239, 0.761, 0, -1, 0, 0, 1),
-    (0.761, 0, 0.239, 0, -1, 0, 1),
-    (0.761, 0, 0.239, 0, 1, 0, 1),
-    (0, 0.239, 0.761, 0, 0, 1, 1),
-    (0, 0.239, 0.761, 0, 0, -1, 1),
-    (0.333, 0.333, 0.334, 1, 1, 1, 1),
-    (0.333, 0.333, 0.334, 1, 1, -1, 1),
-    (0.333, 0.333, 0.334, 1, -1, -1, 1),
-    (0.333, 0.333, 0.334, -1, 1, 1, 1),
-    (0.333, 0.333, 0.334, -1, -1, 1, 1),
-    (0.333, 0.333, 0.334, -1, -1, -1, 1),
-    (0.239, 0, 0.761, 0, 1, 0, 2),
-    (0.239, 0, 0.761, 0, -1, 0, 2),
-    (0.761, 0.239, 0, -1, 0, 0, 2),
-    (0.761, 0.239, 0, 1, 0, 0, 2),
-    (0, 0.761, 0.239, 0, 0, -1, 2),
-    (0, 0.761, 0.239, 0, 0, 1, 2),
-    (0.333, 0.333, 0.334, 1, 1, 1, 2),
-    (0.333, 0.333, 0.334, 1, 1, -1, 2),
-    (0.333, 0.333, 0.334, 1, -1, -1, 2),
-    (0.333, 0.333, 0.334, -1, 1, 1, 2),
-    (0.333, 0.333, 0.334, -1, -1, 1, 2),
-    (0.333, 0.333, 0.334, -1, -1, -1, 2),
-)
-
-# rows: (a1, a2, a3, z12, z13, z23, block) at unit total-amount scale
+# unordered base, rows (a1, a2, a3, block) at unit total-amount scale
 _CA_PROJECTION_UNIT = (
-    (0, 0, 0.24, 0, 0, 0, 1),
-    (0, 0.76, 0, 0, 0, 0, 1),
-    (0.24, 0, 0.76, 0, 1, 0, 1),
-    (0.24, 0, 0.76, 0, -1, 0, 1),
-    (0.76, 0.24, 0, -1, 0, 0, 1),
-    (0.76, 0.24, 0, 1, 0, 0, 1),
-    (0, 0, 0.24, 0, 0, 0, 1),
-    (0, 0.24, 0.76, 0, 0, 1, 1),
-    (0, 0.24, 0.76, 0, 0, -1, 1),
-    (0.24, 0.76, 0, 1, 0, 0, 1),
-    (0.24, 0.76, 0, -1, 0, 0, 1),
-    (0.76, 0, 0, 0, 0, 0, 1),
-    (0.25, 0.25, 0.25, 1, 1, 1, 1),
-    (0.25, 0.25, 0.25, 1, 1, -1, 1),
-    (0.25, 0.25, 0.25, 1, -1, -1, 1),
-    (0.25, 0.25, 0.25, -1, 1, 1, 1),
-    (0.25, 0.25, 0.25, -1, -1, 1, 1),
-    (0.25, 0.25, 0.25, -1, -1, -1, 1),
-    (0, 0.24, 0, 0, 0, 0, 2),
-    (0, 0, 0.76, 0, 0, 0, 2),
-    (0.24, 0.76, 0, 1, 0, 0, 2),
-    (0.24, 0.76, 0, -1, 0, 0, 2),
-    (0.76, 0, 0.24, 0, -1, 0, 2),
-    (0.76, 0, 0.24, 0, 1, 0, 2),
-    (0, 0.76, 0.24, 0, 0, -1, 2),
-    (0, 0.76, 0.24, 0, 0, 1, 2),
-    (0, 0, 0.76, 0, 0, 0, 2),
-    (0.24, 0, 0, 0, 0, 0, 2),
-    (0.76, 0.24, 0, -1, 0, 0, 2),
-    (0.76, 0.24, 0, 1, 0, 0, 2),
-    (0.25, 0.25, 0.25, 1, 1, 1, 2),
-    (0.25, 0.25, 0.25, 1, 1, -1, 2),
-    (0.25, 0.25, 0.25, 1, -1, -1, 2),
-    (0.25, 0.25, 0.25, -1, 1, 1, 2),
-    (0.25, 0.25, 0.25, -1, -1, 1, 2),
-    (0.25, 0.25, 0.25, -1, -1, -1, 2),
+    (0, 0, 0.24, 1),
+    (0, 0.76, 0, 1),
+    (0.24, 0, 0.76, 1),
+    (0.76, 0.24, 0, 1),
+    (0, 0, 0.24, 1),
+    (0, 0.24, 0.76, 1),
+    (0.24, 0.76, 0, 1),
+    (0.76, 0, 0, 1),
+    (0.25, 0.25, 0.25, 1),
+    (0, 0.24, 0, 2),
+    (0, 0, 0.76, 2),
+    (0.24, 0.76, 0, 2),
+    (0.76, 0, 0.24, 2),
+    (0, 0.76, 0.24, 2),
+    (0, 0, 0.76, 2),
+    (0.24, 0, 0, 2),
+    (0.76, 0.24, 0, 2),
+    (0.25, 0.25, 0.25, 2),
 )
 
 
-def _proportion_design(rows, with_pwo: bool) -> BlockedDesign:
-    rows = np.array(rows, dtype=float)
-    pwo = rows[:, 3:6] if with_pwo else np.zeros((len(rows), 3))
-    return BlockedDesign.from_arrays(3, "proportion", rows[:, :3], pwo,
-                                     rows[:, -1], None, n_blocks=2,
+def _latin_square_blocks(a: float, b: float) -> BlockedDesign:
+    """Eight unordered proportion runs in two orthogonal blocks from the
+    edge pair (a, b). Block 1 holds the rows of the Latin square on
+    (a, b, 0), block 2 the same rows with components 2 and 3 swapped, and
+    each block ends with the printed centroid."""
+    square = np.array([(a, b, 0), (b, 0, a), (0, a, b)], dtype=float)
+    values = np.vstack([square, _CENTROID, square[:, [0, 2, 1]], _CENTROID])
+    return BlockedDesign.from_arrays(3, "proportion", values, np.zeros((8, 3)),
+                                     [1] * 4 + [2] * 4, None, n_blocks=2,
                                      as_printed=True)
 
 
@@ -155,7 +66,7 @@ def czitrom_d_optimal() -> BlockedDesign:
     Eight proportion runs, four per block: three edge blends per block plus
     one centroid replicate each. Carries no ordering information (all z = 0).
     """
-    return _proportion_design(_CZITROM_BASE, with_pwo=False)
+    return _latin_square_blocks(0.168, 0.832)
 
 
 def aggarwal_a_optimal() -> BlockedDesign:
@@ -163,26 +74,29 @@ def aggarwal_a_optimal() -> BlockedDesign:
 
     Same block structure with edge support points 0.239/0.761.
     """
-    return _proportion_design(_AGGARWAL_BASE, with_pwo=False)
+    return _latin_square_blocks(0.239, 0.761)
 
 
 def czitrom_d_oofa() -> BlockedDesign:
     """Order-of-addition expansion of the Czitrom design, 24 runs as
     conventionally tabulated (12 per block)."""
-    return _proportion_design(_CZITROM_OOFA, with_pwo=True)
+    return oofa_expand(czitrom_d_optimal())
 
 
 def aggarwal_a_oofa() -> BlockedDesign:
     """Order-of-addition expansion of the Aggarwal design, 24 runs."""
-    return _proportion_design(_AGGARWAL_OOFA, with_pwo=True)
+    return oofa_expand(aggarwal_a_optimal())
 
 
 @functools.lru_cache
-def _orderings(support: tuple[bool, ...]) -> np.ndarray:
-    """enumerate_orderings of a run with this support pattern, as a
-    read-only (s!, pairs) int8 table."""
-    table = np.array(enumerate_orderings([float(on) for on in support]),
-                     dtype=np.int8)
+def _rank_orders(s: int) -> np.ndarray:
+    """Addition step (column) of each value rank of an s-component support,
+    one row per ordering in enumerate_orderings order: a read-only (s!, s)
+    int8 table."""
+    ranks = range(1, s + 1)
+    orders = [permutation_from_pwo(z, ranks, s)
+              for z in enumerate_orderings(ranks)]
+    table = np.argsort(np.array(orders), axis=1).astype(np.int8)
     table.flags.writeable = False
     return table
 
@@ -191,30 +105,43 @@ def oofa_expand(base: BlockedDesign) -> BlockedDesign:
     """Replace each run of an unordered design by one run per addition order.
 
     Runs stay in their blocks; base run order is kept, and each run's
-    orderings appear in enumerate_orderings order. A run with s positive
-    components contributes s! runs.
+    orderings appear in enumerate_orderings order, smaller component first:
+    the support ranked by increasing value (ties by index), its orderings in
+    descending lexicographic order of their PWO vectors over those ranks. A
+    run with s positive components contributes s! runs; a run with none is
+    refused.
     """
     ordered = np.flatnonzero(base.pwo.any(axis=1))
     if ordered.size:
         idx = int(ordered[0])
         raise AlreadyExpanded(f"run {idx + 1} already carries an ordering "
                               f"{tuple(base.pwo[idx].tolist())}")
-    # one ordering table per distinct support pattern, stacked after an
-    # empty one (so that a design without runs stacks too); run i takes the
-    # rows of its pattern's table
-    patterns, which = np.unique(base.values > 0, axis=0, return_inverse=True)
-    which = which.reshape(-1)
-    tables = [np.empty((0, base.pwo.shape[1]), dtype=np.int8)]
-    tables += [_orderings(tuple(p)) for p in patterns.tolist()]
-    sizes = np.array([len(t) for t in tables[1:]], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    per_run = sizes[which]
+    m = base.m
+    support = base.values > 0
+    size = support.sum(axis=1)
+    empty = np.flatnonzero(size == 0)
+    if empty.size:
+        raise EmptySupport(f"run {int(empty[0]) + 1}: all component values "
+                           "are zero")
+    per_run = np.cumprod([1, *range(1, m + 1)])[size]
     rep = np.repeat(np.arange(base.n), per_run)
-    within = np.arange(per_run.sum()) - np.repeat(np.cumsum(per_run) - per_run,
-                                                  per_run)
-    pwo = np.concatenate(tables)[np.repeat(starts[which], per_run) + within]
+    within = np.arange(len(rep)) - (np.cumsum(per_run) - per_run)[rep]
+    # components by increasing value, ties by index: absent ones sort first,
+    # so the last s columns are a run's support ranks 1..s
+    by_value = np.argsort(base.values, axis=1, kind="stable")[rep]
+    # each output row's addition step per component; int8 keeps the pair
+    # differences below cheap
+    step = np.zeros((len(rep), m), dtype=np.int8)
+    size_out = size[rep]
+    for s in np.unique(size).tolist():
+        rows = np.flatnonzero(size_out == s)
+        table = _rank_orders(s)
+        step[rows[:, None], by_value[rows, m - s:]] = table[within[rows]]
+    J, K = _incidence(m)[:2]
+    on = support[rep]
+    pwo = np.sign(step[:, K] - step[:, J]) * (on[:, J] & on[:, K])
     return BlockedDesign.from_arrays(
-        base.m, base.kind, base.values[rep], pwo, base.block[rep],
+        m, base.kind, base.values[rep], pwo, base.block[rep],
         base.amount[rep], n_blocks=base.n_blocks, as_printed=base.as_printed)
 
 
@@ -232,9 +159,10 @@ def component_amount_projection_design(a_max: float) -> BlockedDesign:
     values = rows[:, :3] * a_max
     # row totals, added left to right
     amount = values[:, 0] + values[:, 1] + values[:, 2]
-    return BlockedDesign.from_arrays(3, "amount", values, rows[:, 3:6],
+    base = BlockedDesign.from_arrays(3, "amount", values, np.zeros((18, 3)),
                                      rows[:, -1], amount, n_blocks=2,
                                      as_printed=True)
+    return oofa_expand(base)
 
 
 CATALOG = {

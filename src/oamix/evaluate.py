@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import BlockedDesign, ModelMatrix, ModelSpec, n_pairs
-from .errors import InsufficientDF, NothingToCheck
+from .errors import InsufficientDF, NothingToCheck, SchemaError
 from .linalg import det_xtx, log_det_xtx
 from .modelmat import build_model_matrix, model_rows
 from .pwo import pwo_from_run
@@ -178,12 +178,16 @@ def criteria_report(X: ModelMatrix,
     """Full optimality and per-coefficient summary of a model matrix.
 
     max_pv and avg_pv are taken over the design's own rows unless an
-    explicit point set (rows in the same column basis) is supplied.
+    explicit point set (rows in the same column basis) is supplied; a point
+    set that is not a non-empty (k, p) array raises SchemaError.
     """
     f = X.factor
     inv = f.inv
     n, p = X.n, X.p
     pts = X.data if eval_points is None else np.asarray(eval_points, float)
+    if pts.ndim != 2 or pts.shape[1] != p or not len(pts):
+        raise SchemaError(f"eval points have shape {pts.shape}; the model "
+                          f"matrix needs one or more rows of {p} columns")
     pv = _point_variances(pts, inv)
     max_pv = float(pv.max())
     avg_pv = float(pv.mean())

@@ -100,13 +100,19 @@ def permutation_from_pwo(pwo: Sequence[int], support: Iterable[int],
 def enumerate_orderings(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:
     """All |support|! PWO vectors a run's components can realize.
 
-    Returned in descending lexicographic order of the PWO vectors, so for a
-    full 3-component support: (1,1,1), (1,1,-1), (1,-1,-1), (-1,1,1),
-    (-1,-1,1), (-1,-1,-1).
+    Listed smaller component first: the support is relabelled 1..s by
+    increasing value (ties by index), and the orderings come in descending
+    lexicographic order of their PWO vectors over those labels. So
+    (0.832, 0, 0.168) lists 3-before-1 first, (0, -1, 0) then (0, 1, 0), and
+    a full 3-component support whose values increase with index lists
+    (1,1,1), (1,1,-1), (1,-1,-1), (-1,1,1), (-1,-1,1), (-1,-1,-1).
     """
-    support = tuple(i for i in range(1, len(values) + 1) if values[i - 1] > 0)
+    support = [i for i in range(1, len(values) + 1) if values[i - 1] > 0]
     if not support:
         raise EmptySupport("all component values are zero")
-    vectors = {pwo_from_run(values, perm)
-               for perm in itertools.permutations(support)}
-    return tuple(sorted(vectors, reverse=True))
+    by_value = sorted(support, key=lambda i: (values[i - 1], i))
+    s = len(by_value)
+    ranked = sorted(itertools.permutations(range(1, s + 1)),
+                    key=lambda p: pwo_from_permutation(p, s), reverse=True)
+    return tuple(pwo_from_run(values, [by_value[r - 1] for r in p])
+                 for p in ranked)

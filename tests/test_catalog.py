@@ -1,13 +1,20 @@
-from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oamix.catalog import (CATALOG, aggarwal_a_oofa, aggarwal_a_optimal,
+from oamix.catalog import (CATALOG, _latin_square_blocks, aggarwal_a_oofa,
+                           aggarwal_a_optimal,
                            component_amount_projection_design,
                            czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
-from oamix.core import BlockedDesign, Run, validate_design
-from oamix.errors import AlreadyExpanded, InvalidAmount
+from oamix.core import (SCHEFFE_QUADRATIC, BlockedDesign, ModelSpec, Run,
+                        validate_design)
+from oamix.errors import AlreadyExpanded, EmptySupport, InvalidAmount
+from oamix.linalg import log_det_xtx
+from oamix.modelmat import build_model_matrix
+from oamix.serialize import write_design_csv
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_every_catalog_design_validates():
@@ -44,18 +51,29 @@ def test_aggarwal_base_layout():
     assert s1 == pytest.approx(s2, abs=1e-9)
 
 
-def _block_multiset(design, block):
-    return Counter((r.values, r.pwo) for r in design.runs if r.block == block)
+def test_latin_square_edge_point_is_d_optimal():
+    # log det(X'X) of Scheffe quadratic plus block over the edge point a
+    # (b = 1 - a) peaks at Czitrom's printed 0.168
+    from scipy.optimize import minimize_scalar
+    spec = ModelSpec(SCHEFFE_QUADRATIC, include_block=True)
+
+    def neg_log_det(a):
+        X = build_model_matrix(_latin_square_blocks(a, 1.0 - a), spec)
+        return -log_det_xtx(X.factor)
+
+    best = minimize_scalar(neg_log_det, bounds=(0.05, 0.45), method="bounded",
+                           options={"xatol": 1e-7})
+    assert best.success
+    assert best.x == pytest.approx(0.1685, abs=5e-4)
 
 
 def test_expand_matches_catalog_oofa_designs():
-    for base_ctor, oofa_ctor in ((czitrom_d_optimal, czitrom_d_oofa),
-                                 (aggarwal_a_optimal, aggarwal_a_oofa)):
-        expanded = oofa_expand(base_ctor())
-        tabulated = oofa_ctor()
-        assert expanded.n == tabulated.n == 24
-        for b in (1, 2):
-            assert _block_multiset(expanded, b) == _block_multiset(tabulated, b)
+    for base_ctor, oofa_ctor, golden in (
+            (czitrom_d_optimal, czitrom_d_oofa, "czitrom-d-oofa.csv"),
+            (aggarwal_a_optimal, aggarwal_a_oofa, "aggarwal-a-oofa.csv")):
+        text = (GOLDEN / golden).read_text()
+        assert write_design_csv(oofa_expand(base_ctor())) == text
+        assert write_design_csv(oofa_ctor()) == text
 
 
 def test_expand_block_sizes_and_grouping():
@@ -90,6 +108,15 @@ def test_expand_vertex_run_is_trivial():
     out = oofa_expand(d)
     assert out.n == 3
     assert out.runs[0].pwo == (0, 0, 0)
+
+
+def test_expand_rejects_a_run_without_support():
+    d = BlockedDesign(m=3, kind="proportion",
+                      runs=(Run((1.0, 0, 0), (0, 0, 0), 1),
+                            Run((0, 0, 0), (0, 0, 0), 2)),
+                      n_blocks=2)
+    with pytest.raises(EmptySupport, match="run 2"):
+        oofa_expand(d)
 
 
 def test_expand_rejects_expanded_input():

@@ -11,6 +11,8 @@ from oamix.cli import main
 from oamix.core import BlockedDesign, Run
 from oamix.serialize import parse_design_csv, write_design_csv
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run_cli(*args):
     return main(list(args))
@@ -56,16 +58,13 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_expand_matches_tabulated_blocks(tmp_path):
-    base = catalog_file(tmp_path, "czitrom-d")
-    out = tmp_path / "expanded.csv"
-    assert run_cli("expand", "-i", str(base), "-o", str(out)) == 0
-    expanded = parse_design_csv(out.read_text())
-    tabulated = czitrom_d_oofa()
-    assert expanded.n == 24
-    key = lambda d, b: sorted((r.values, r.pwo) for r in d.runs
-                              if r.block == b)
-    for b in (1, 2):
-        assert key(expanded, b) == key(tabulated, b)
+    for name in ("czitrom-d", "aggarwal-a"):
+        base = catalog_file(tmp_path, name)
+        out = tmp_path / "expanded.csv"
+        assert run_cli("expand", "-i", str(base), "-o", str(out)) == 0
+        assert out.read_text() == \
+            catalog_file(tmp_path, f"{name}-oofa").read_text() == \
+            (GOLDEN / f"{name}-oofa.csv").read_text()
 
 
 def test_check_blocks_pass_and_fail(tmp_path, capsys):
@@ -131,6 +130,19 @@ def test_eval_points_flag(tmp_path, capsys):
                    "--eval-points", str(t3), "--json") == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["avg_pv"] == pytest.approx(13 / 24, abs=1e-10)
+
+
+def test_eval_points_of_another_width_exit_3(tmp_path, capsys):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    m4 = BlockedDesign(4, "proportion",
+                       (Run((0.25, 0.25, 0.25, 0.25), (0,) * 6, 1),
+                        Run((0.5, 0.5, 0, 0), (0,) * 6, 2)), 2)
+    points = tmp_path / "m4.csv"
+    points.write_text(write_design_csv(m4))
+    capsys.readouterr()
+    assert run_cli("eval", "-i", str(t3), "--model", "scheffe-q",
+                   "--eval-points", str(points)) == 3
+    assert "13 columns" in capsys.readouterr().err
 
 
 def test_power_json_matches_published_table(tmp_path, capsys):

@@ -75,6 +75,29 @@ def test_enumerate_orderings_edge_and_vertex():
     assert enumerate_orderings((0, 0, 0.24)) == ((0, 0, 0),)
 
 
+def test_enumerate_orderings_lists_smaller_component_first():
+    assert enumerate_orderings((0.832, 0, 0.168)) == ((0, -1, 0), (0, 1, 0))
+
+
+def test_enumerate_orderings_rule_over_shuffled_supports():
+    # every support of m = 2..5, values drawn with ties so that the index
+    # tie-break is exercised too
+    rng = np.random.default_rng(11)
+    for m in range(2, 6):
+        for r in range(1, m + 1):
+            for support in itertools.combinations(range(1, m + 1), r):
+                v = [0.0] * m
+                for i in support:
+                    v[i - 1] = float(rng.choice([0.1, 0.2, 0.3, 0.4]))
+                got = enumerate_orderings(v)
+                assert set(got) == {pwo_from_run(v, perm) for perm in
+                                    itertools.permutations(support)}
+                assert len(got) == len(set(got))
+                increasing = sorted(support, key=lambda i: (v[i - 1], i))
+                assert permutation_from_pwo(got[0], support, m) == \
+                    tuple(increasing)
+
+
 def test_enumerate_orderings_empty_support():
     with pytest.raises(EmptySupport):
         enumerate_orderings((0.0, 0.0, 0.0))
