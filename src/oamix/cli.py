@@ -90,6 +90,14 @@ def _spec_from_args(args, m: int) -> ModelSpec:
                      include_block=args.block)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _seed_from_args(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fds", help="fraction-of-design-space curve")
     add_model_opts(p)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="sampling seed (default: OAMIX_SEED or 0)")
     p.add_argument("-o", "--output", required=True,

@@ -34,30 +34,29 @@ MIXTURE_AMOUNT_QUADRATIC = "mixture_amount_quadratic"
 COMPONENT_AMOUNT_LINEAR = "component_amount_linear"
 COMPONENT_AMOUNT_QUADRATIC = "component_amount_quadratic"
 
-FAMILIES = frozenset({
-    SCHEFFE_LINEAR,
-    SCHEFFE_QUADRATIC,
-    K_QUADRATIC,
-    MIXTURE_AMOUNT_LINEAR,
-    MIXTURE_AMOUNT_QUADRATIC,
-    COMPONENT_AMOUNT_LINEAR,
-    COMPONENT_AMOUNT_QUADRATIC,
-})
 
-# families defined on proportions (x sums to 1); the rest act on raw amounts
-PROPORTION_FAMILIES = frozenset({
-    SCHEFFE_LINEAR,
-    SCHEFFE_QUADRATIC,
-    K_QUADRATIC,
-    MIXTURE_AMOUNT_LINEAR,
-    MIXTURE_AMOUNT_QUADRATIC,
-})
-AMOUNT_FAMILIES = frozenset({
-    COMPONENT_AMOUNT_LINEAR,
-    COMPONENT_AMOUNT_QUADRATIC,
-})
-# amount models carry a free constant; simplex-constrained bases must not
-INTERCEPT_FAMILIES = AMOUNT_FAMILIES
+class Family(NamedTuple):
+    """A model family: the design kind it needs, whether it carries an
+    intercept, its mixture term groups in column order, and the powers of
+    the total amount A that multiply copies of those groups."""
+
+    kind: str
+    intercept: bool
+    groups: tuple[str, ...]
+    amount_powers: tuple[int, ...] = ()
+
+
+FAMILIES = {
+    SCHEFFE_LINEAR: Family("proportion", False, ("linear",)),
+    SCHEFFE_QUADRATIC: Family("proportion", False, ("linear", "cross")),
+    K_QUADRATIC: Family("proportion", False, ("square", "cross")),
+    MIXTURE_AMOUNT_LINEAR: Family("proportion", False, ("linear",), (1,)),
+    MIXTURE_AMOUNT_QUADRATIC: Family("proportion", False, ("linear", "cross"),
+                                     (1, 2)),
+    COMPONENT_AMOUNT_LINEAR: Family("amount", True, ("linear",)),
+    COMPONENT_AMOUNT_QUADRATIC: Family("amount", True,
+                                       ("linear", "square", "cross")),
+}
 
 
 @functools.lru_cache
@@ -225,7 +224,7 @@ class ModelSpec:
     def include_intercept(self) -> bool:
         """The component-amount families carry an intercept; the simplex
         families never do, since their linear terms span the constant."""
-        return self.family in INTERCEPT_FAMILIES
+        return FAMILIES[self.family].intercept
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import BlockedDesign, ModelMatrix, ModelSpec, n_pairs
-from .errors import InsufficientDF, NothingToCheck, SchemaError
+from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec, n_pairs
+from .errors import InsufficientDF, NothingToCheck, SchemaError, Unsupported
 from .linalg import det_xtx, log_det_xtx
-from .modelmat import build_model_matrix, model_rows
+from .modelmat import _terms, build_model_matrix, model_rows
 from .pwo import pwo_from_run
 
 _MASK64 = (1 << 64) - 1
@@ -66,22 +66,6 @@ class BlockingReport:
         return tuple(c for c in self.conditions if not c.ok)
 
 
-def _condition_name(term: str) -> str:
-    if term == "1":
-        return "intercept_sum"
-    if "*z" in term:
-        return "interaction_sum"
-    if term.startswith("z"):
-        return "pwo_sum"
-    if "*A" in term:
-        return "amount_product_sum"
-    if "^2" in term:
-        return "square_sum"
-    if "*" in term:
-        return "cross_product_sum"
-    return "component_sum"
-
-
 # integer-valued columns must balance exactly; mixture sums only to
 # printed rounding
 _EXACT_CONDITIONS = {"pwo_sum", "interaction_sum"}
@@ -92,23 +76,28 @@ def check_orthogonal_blocking(design: BlockedDesign, spec: ModelSpec,
     """Verify equal per-block sums for every non-block model column.
 
     Orthogonal blocking holds exactly when each model term sums to the same
-    value in every block. Ordering and interaction columns are integer
+    value in every block. Each column's condition comes from its entry in
+    the model's term table. Ordering and interaction columns are integer
     valued and must balance exactly; component polynomial sums are compared
-    at the given tolerance. Block sums are correctly rounded (math.fsum),
-    so the verdict does not depend on the order of runs within a block.
+    at tol, an absolute bound in the column's own units (amount designs
+    need it scaled), and a negative or NaN tol raises Unsupported. Block
+    sums are correctly rounded (math.fsum), so the verdict does not depend
+    on the order of runs within a block.
     """
+    if not tol >= 0:
+        raise Unsupported(f"tol must be a number >= 0, got {tol}")
     if design.n_blocks < 2:
         raise NothingToCheck(
             f"blocking needs at least 2 blocks, design has {design.n_blocks}")
-    X = build_model_matrix(design, replace(spec, include_block=False))
+    spec = replace(spec, include_block=False)
+    X = build_model_matrix(design, spec)
     # per block, the columns as lists of floats (fsum is fast on lists)
     by_block = [X.data[design.block == b].T.tolist()
                 for b in range(1, design.n_blocks + 1)]
     records = []
-    for j, term in enumerate(X.columns):
+    for j, (term, cond, _) in enumerate(_terms(spec, design.m)):
         sums = tuple(math.fsum(cols[j]) for cols in by_block)
         disc = max(sums) - min(sums)
-        cond = _condition_name(term)
         use_tol = 0.0 if cond in _EXACT_CONDITIONS else tol
         records.append(ConditionCheck(cond, term, sums, disc, use_tol,
                                       disc <= use_tol))
@@ -221,10 +210,6 @@ class FDSCurve:
         return self.variances[-1]
 
 
-def _needs_amount(design: BlockedDesign, spec: ModelSpec) -> bool:
-    return design.kind == "amount" or spec.family.startswith("mixture_amount")
-
-
 def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
               seed: int = 0) -> FDSCurve:
     """Fraction-of-design-space curve from uniform design-space sampling.
@@ -245,7 +230,8 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     m = design.m
     perms = list(itertools.permutations(range(1, m + 1)))
     levels = design.amount_levels()
-    use_amount = _needs_amount(design, spec)
+    use_amount = (design.kind == "amount"
+                  or bool(FAMILIES[spec.family].amount_powers))
 
     pvs = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
@@ -284,8 +270,13 @@ def power_table(X: ModelMatrix, alpha: float = 0.05,
 
     se_j = sqrt((X'X)^-1_jj) in units of sigma; power is the two-sided
     noncentral-t probability of detecting a coefficient of effect_sd*sigma
-    at the given level with n - p error degrees of freedom.
+    at the given level with n - p error degrees of freedom. An alpha
+    outside (0, 1) or a non-finite effect_sd raises Unsupported.
     """
+    if not 0 < alpha < 1:
+        raise Unsupported(f"alpha must lie in (0, 1), got {alpha}")
+    if not math.isfinite(effect_sd):
+        raise Unsupported(f"effect_sd must be finite, got {effect_sd}")
     n, p = X.n, X.p
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}: no residual degrees of freedom")

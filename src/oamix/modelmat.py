@@ -7,8 +7,10 @@ interaction columns in ModelSpec.interaction_terms order, and finally the block
 column coded -1 (block 1) / +1 (block 2). One column cannot separate more
 than two blocks, so requesting it for such a design raises Unsupported.
 
-One term table per (spec, m) pairs each column name with a builder over
-the run arrays; column names, matrices and model_rows all come from it.
+One term table per (spec, m), assembled from the family's record in
+core.FAMILIES, pairs each column name with its blocking condition and a
+builder over the run arrays; column names, matrices, model_rows and the
+blocking check all come from it.
 
 Two bases are available. build_model_matrix uses the run values exactly as
 stored. coded_model_matrix first maps every component affinely onto [-1, 1]
@@ -25,15 +27,13 @@ analyses of the shipped component-amount design were produced).
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections.abc import Callable
 
 import numpy as np
 
-from .core import (AMOUNT_FAMILIES, BlockedDesign, COMPONENT_AMOUNT_LINEAR,
-                   COMPONENT_AMOUNT_QUADRATIC, K_QUADRATIC,
-                   MIXTURE_AMOUNT_LINEAR, MIXTURE_AMOUNT_QUADRATIC,
-                   ModelMatrix, ModelSpec, PROPORTION_FAMILIES,
-                   SCHEFFE_LINEAR, SCHEFFE_QUADRATIC, pair_indices)
+from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec, pair_indices
 from .errors import EmptyDesign, KindMismatch, SpecError, Unsupported
 
 _EQUAL_TOL = 1e-9
@@ -56,78 +56,67 @@ def full_interaction_set(m: int) -> tuple[tuple[int, tuple[int, int]], ...]:
 
     Rank deficient on the shipped designs; provided for collinearity study.
     """
-    out = []
-    for j, k in pair_indices(m):
-        out.append((j, (j, k)))
-        out.append((k, (j, k)))
-    return tuple(out)
+    return tuple((i, (j, k)) for j, k in pair_indices(m) for i in (j, k))
 
 
-def _prefix(family: str) -> str:
-    return "a" if family in AMOUNT_FAMILIES else "x"
+def _terms(spec: ModelSpec,
+           m: int) -> tuple[tuple[str, str | None, Callable], ...]:
+    """The term table: one (column name, condition, builder) entry per column.
 
-
-def _terms(spec: ModelSpec, m: int) -> tuple[tuple[str, Callable], ...]:
-    """The term table: one (column name, builder) entry per column.
-
-    A builder maps the arrays V (values, n x m), Z (PWO, n x pairs), B
-    (block labels, n) and A (total amounts, n) to one model column.
+    condition names the blocking condition the column's block sums test
+    (see evaluate.check_orthogonal_blocking); the block column has none. A
+    builder maps the arrays V (values, n x m), Z (PWO, n x pairs), B (block
+    labels, n) and A (total amounts, n) to one model column.
     """
     if m > 9:
         raise Unsupported("column grammar supports at most 9 components")
-    c = _prefix(spec.family)
+    family = FAMILIES[spec.family]
+    c = "a" if family.kind == "amount" else "x"
     pairs = pair_indices(m)
-    linear = [(f"{c}{i + 1}", lambda V, Z, B, A, i=i: V[:, i])
-              for i in range(m)]
-    squares = [(f"{c}{i + 1}^2", lambda V, Z, B, A, i=i: V[:, i] * V[:, i])
-               for i in range(m)]
-    crosses = [(f"{c}{j}*{c}{k}",
-                lambda V, Z, B, A, j=j - 1, k=k - 1: V[:, j] * V[:, k])
-               for j, k in pairs]
-
-    def times_a(base):
-        return [(f"{t}*A", lambda V, Z, B, A, f=f: f(V, Z, B, A) * A)
-                for t, f in base]
-
-    def times_a2(base):
-        return [(f"{t}*A^2", lambda V, Z, B, A, f=f: f(V, Z, B, A) * A * A)
-                for t, f in base]
-
-    base = linear + crosses
-    terms = list({
-        SCHEFFE_LINEAR: linear,
-        SCHEFFE_QUADRATIC: base,
-        K_QUADRATIC: squares + crosses,
-        MIXTURE_AMOUNT_LINEAR: linear + times_a(linear),
-        MIXTURE_AMOUNT_QUADRATIC: base + times_a(base) + times_a2(base),
-        COMPONENT_AMOUNT_LINEAR: linear,
-        COMPONENT_AMOUNT_QUADRATIC: linear + squares + crosses,
-    }[spec.family])
-    if spec.include_intercept:
-        terms.insert(0, ("1", lambda V, Z, B, A: np.ones(len(V))))
+    groups = {
+        "linear": [(f"{c}{i + 1}", "component_sum",
+                    lambda V, Z, B, A, i=i: V[:, i]) for i in range(m)],
+        "square": [(f"{c}{i + 1}^2", "square_sum",
+                    lambda V, Z, B, A, i=i: V[:, i] * V[:, i])
+                   for i in range(m)],
+        "cross": [(f"{c}{j}*{c}{k}", "cross_product_sum",
+                   lambda V, Z, B, A, j=j - 1, k=k - 1: V[:, j] * V[:, k])
+                  for j, k in pairs],
+    }
+    mixture = [t for g in family.groups for t in groups[g]]
+    terms = ([("1", "intercept_sum", lambda V, Z, B, A: np.ones(len(V)))]
+             if family.intercept else [])
+    terms += mixture
+    for power in family.amount_powers:
+        times = "*A" if power == 1 else f"*A^{power}"
+        # f*A*A, not f*A**2, which differs in the last bit
+        terms += [(name + times, "amount_product_sum",
+                   lambda V, Z, B, A, f=f, k=power:
+                   functools.reduce(operator.mul, [A] * k, f(V, Z, B, A)))
+                  for name, _, f in mixture]
     if spec.include_pwo:
-        terms += [(f"z{j}{k}", lambda V, Z, B, A, q=q: Z[:, q])
+        terms += [(f"z{j}{k}", "pwo_sum", lambda V, Z, B, A, q=q: Z[:, q])
                   for q, (j, k) in enumerate(pairs)]
     for i, (k, l) in spec.interaction_terms:
-        if not (1 <= k < l <= m) or not (1 <= i <= m):
-            raise SpecError(
-                f"interaction ({i},({k},{l})) is outside 1..{m}")
-        terms.append((f"{c}{i}*z{k}{l}",
+        if l > m:  # ModelSpec checks 1 <= k < l and i in (k, l)
+            raise SpecError(f"interaction ({i},({k},{l})) is outside 1..{m}")
+        terms.append((f"{c}{i}*z{k}{l}", "interaction_sum",
                       lambda V, Z, B, A, i=i - 1, q=pairs.index((k, l)):
                       V[:, i] * Z[:, q]))
     if spec.include_block:
-        terms.append(("blk", lambda V, Z, B, A: np.where(B == 1, -1.0, 1.0)))
+        terms.append(("blk", None,
+                      lambda V, Z, B, A: np.where(B == 1, -1.0, 1.0)))
     return tuple(terms)
 
 
 def column_names(spec: ModelSpec, m: int) -> tuple[str, ...]:
     """Canonical column names for a family on m components."""
-    return tuple(name for name, _ in _terms(spec, m))
+    return tuple(name for name, _, _ in _terms(spec, m))
 
 
 def _fill(terms, V, Z, B, A) -> np.ndarray:
     out = np.empty((len(V), len(terms)))
-    for j, (_, build) in enumerate(terms):
+    for j, (_, _, build) in enumerate(terms):
         out[:, j] = build(V, Z, B, A)
     return out
 
@@ -145,15 +134,14 @@ def model_rows(spec: ModelSpec, m: int, values, pwo, block,
 
 
 def _check_kind(design: BlockedDesign, spec: ModelSpec) -> None:
-    fam = spec.family
-    if fam in PROPORTION_FAMILIES and design.kind != "proportion":
-        raise KindMismatch(f"family {fam} needs a proportion design")
-    if fam in AMOUNT_FAMILIES and design.kind != "amount":
-        raise KindMismatch(f"family {fam} needs an amount design")
-    if fam in (MIXTURE_AMOUNT_LINEAR, MIXTURE_AMOUNT_QUADRATIC):
-        if np.isnan(design.amount).any():
-            raise KindMismatch(
-                f"family {fam} needs a total amount on every run")
+    family = FAMILIES[spec.family]
+    if design.kind != family.kind:
+        article = "an" if family.kind == "amount" else "a"
+        raise KindMismatch(
+            f"family {spec.family} needs {article} {family.kind} design")
+    if family.amount_powers and np.isnan(design.amount).any():
+        raise KindMismatch(
+            f"family {spec.family} needs a total amount on every run")
 
 
 def _coded(V: np.ndarray, A: np.ndarray, kind: str) -> np.ndarray:
@@ -178,8 +166,8 @@ def _build(design: BlockedDesign, spec: ModelSpec, basis: str) -> ModelMatrix:
     if basis == "coded":
         V = _coded(V, A, design.kind)
     data = _fill(terms, V, design.pwo.astype(float), design.block, A)
-    return ModelMatrix(columns=tuple(name for name, _ in terms), data=data,
-                       basis=basis)
+    return ModelMatrix(columns=tuple(name for name, _, _ in terms),
+                       data=data, basis=basis)
 
 
 def build_model_matrix(design: BlockedDesign, spec: ModelSpec) -> ModelMatrix:

@@ -112,42 +112,26 @@ def parse_design_csv(text: str) -> BlockedDesign:
         raise SchemaError(f"first column must be 'run', got {header[:1]}")
 
     # component columns: x1.. or a1.., contiguous from position 1
+    prefix = header[1][:1] if len(header) > 1 else ""
     m = 0
-    prefix = None
-    for h in header[1:]:
-        want = f"{prefix or h[:1]}{m + 1}"
-        if h == want and h[:1] in ("x", "a"):
-            prefix = h[:1]
-            m += 1
-        else:
-            break
-    if m < 2:
+    while 1 + m < len(header) and header[1 + m] == f"{prefix}{m + 1}":
+        m += 1
+    if prefix not in ("x", "a") or m < 2:
         raise SchemaError(
             f"expected component columns x1..xm or a1..am, got {header[1:3]}")
     kind = "amount" if prefix == "a" else "proportion"
-
-    pos = 1 + m
-    expected_z = [f"z{j}{k}" for j, k in pair_indices(m)]
-    got_z = header[pos:pos + len(expected_z)]
-    if got_z != expected_z:
-        raise SchemaError(
-            f"expected pair columns {expected_z}, got {got_z}")
-    pos += len(expected_z)
-    if pos >= len(header) or header[pos] != "block":
-        raise SchemaError("missing 'block' column after the pair columns")
-    pos += 1
-    with_amount = pos < len(header) and header[pos] == "A"
-    if with_amount:
-        pos += 1
-    if pos != len(header):
-        raise SchemaError(f"unexpected trailing columns {header[pos:]}")
+    with_amount = header[-1] == "A"
+    expected = _header(m, kind, with_amount)
+    if header != expected:
+        raise SchemaError(f"expected header {','.join(expected)}, "
+                          f"got {','.join(header)}")
     if kind == "amount" and not with_amount:
         raise SchemaError("amount designs require a trailing 'A' column")
 
     data = rows[1:]
     if not data:
         raise EmptyDesign("design file has a header but no data rows")
-    npairs = len(expected_z)
+    npairs = len(pair_indices(m))
     given = ([row[-1].strip() for row in data] if with_amount
              else [""] * len(data))
     # components, pairs and block: one float per cell, then the checks on

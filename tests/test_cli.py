@@ -85,6 +85,17 @@ def test_check_blocks_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_check_blocks_refuses_a_negative_or_nan_tol(tmp_path, capsys, tol):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    capsys.readouterr()
+    assert run_cli("check-blocks", "-i", str(t3), "--model", "scheffe-q",
+                   "--tol", tol) == 3
+    out, err = capsys.readouterr()
+    assert "FAIL" not in out
+    assert f"tol must be a number >= 0, got {float(tol)}" in err
+
+
 def test_check_blocks_json(tmp_path, capsys):
     t3 = catalog_file(tmp_path, "czitrom-d-oofa")
     capsys.readouterr()
@@ -156,6 +167,19 @@ def test_power_json_matches_published_table(tmp_path, capsys):
     assert by_name["a1"]["r_squared"] == pytest.approx(0.9484, abs=0.01)
     assert obj["basis"] == "coded"
     assert obj["notes"]
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--alpha", "1.5"), ("--alpha", "0"), ("--alpha", "nan"),
+    ("--effect-sd", "nan"), ("--effect-sd", "inf")])
+def test_power_refuses_bad_alpha_or_effect(tmp_path, capsys, option, value):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    capsys.readouterr()
+    assert run_cli("power", "-i", str(t3), "--model", "scheffe-q",
+                   option, value) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert option[2:].replace("-", "_") in err
 
 
 def test_power_factorizes_once(tmp_path, capsys, qr_calls):
@@ -230,6 +254,16 @@ def test_fds_outputs_are_deterministic(tmp_path, capsys):
                        "--samples", "100", "--seed", "7", "-o", str(b)) == 0
     assert (tmp_path / "c1.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
     assert (tmp_path / "c1.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "ten"])
+def test_fds_sample_count_must_be_positive(tmp_path, capsys, samples):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    capsys.readouterr()
+    assert run_cli("fds", "-i", str(t3), "--model", "scheffe-q",
+                   "--samples", samples, "-o", str(tmp_path / "f")) == 2
+    assert "--samples: expected an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_fds_seed_env_fallback(tmp_path, monkeypatch, capsys):

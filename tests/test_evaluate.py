@@ -1,21 +1,26 @@
 import math
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import mc_t_test_power
-from oamix.catalog import (aggarwal_a_oofa, component_amount_projection_design,
+from oamix.catalog import (aggarwal_a_oofa, aggarwal_a_optimal,
+                           component_amount_projection_design,
                            czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
-from oamix.core import BlockedDesign, ModelMatrix, ModelSpec, Run
+from oamix.core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec, Run
 from oamix.errors import (InsufficientDF, NothingToCheck, SingularMatrix,
                           Unsupported)
 from oamix.evaluate import _CHUNK as CHUNK
 from oamix.evaluate import (check_orthogonal_blocking, criteria_report,
                             fds_curve, power_table, term_r_squared)
 from oamix.fit import ols_fit, predict
-from oamix.modelmat import build_model_matrix, default_interaction_subset
+from oamix.modelmat import (build_model_matrix, coded_model_matrix,
+                            column_names, default_interaction_subset,
+                            full_interaction_set)
 
 # two-sided t-test power at se=0.5, sigma=1, effect 2 sigma, df=3, alpha 5%
 POWER_SE_HALF_DF3 = 0.754984
@@ -78,6 +83,56 @@ def test_mixture_amount_terms_are_amount_products():
         assert names[term] == "amount_product_sum"
     assert set(names.values()) == {"component_sum", "cross_product_sum",
                                    "amount_product_sum"}
+
+
+CONDITION_CODES = {"1": "intercept_sum", "c": "component_sum",
+                   "s": "square_sum", "x": "cross_product_sum",
+                   "a": "amount_product_sum", "z": "pwo_sum",
+                   "i": "interaction_sum"}
+# the blocking condition of every column, one code letter per column in
+# column order, with PWO columns and full_interaction_set(m)
+CONDITIONS = {
+    ("scheffe_linear", 2): "cczii",
+    ("scheffe_linear", 3): "ccczzziiiiii",
+    ("scheffe_linear", 4): "cccczzzzzziiiiiiiiiiii",
+    ("scheffe_quadratic", 2): "ccxzii",
+    ("scheffe_quadratic", 3): "cccxxxzzziiiiii",
+    ("scheffe_quadratic", 4): "ccccxxxxxxzzzzzziiiiiiiiiiii",
+    ("k_quadratic", 2): "ssxzii",
+    ("k_quadratic", 3): "sssxxxzzziiiiii",
+    ("k_quadratic", 4): "ssssxxxxxxzzzzzziiiiiiiiiiii",
+    ("mixture_amount_linear", 2): "ccaazii",
+    ("mixture_amount_linear", 3): "cccaaazzziiiiii",
+    ("mixture_amount_linear", 4): "ccccaaaazzzzzziiiiiiiiiiii",
+    ("mixture_amount_quadratic", 2): "ccxaaaaaazii",
+    ("mixture_amount_quadratic", 3): "cccxxxaaaaaaaaaaaazzziiiiii",
+    ("mixture_amount_quadratic", 4):
+        "ccccxxxxxxaaaaaaaaaaaaaaaaaaaazzzzzziiiiiiiiiiii",
+    ("component_amount_linear", 2): "1cczii",
+    ("component_amount_linear", 3): "1ccczzziiiiii",
+    ("component_amount_linear", 4): "1cccczzzzzziiiiiiiiiiii",
+    ("component_amount_quadratic", 2): "1ccssxzii",
+    ("component_amount_quadratic", 3): "1cccsssxxxzzziiiiii",
+    ("component_amount_quadratic", 4): "1ccccssssxxxxxxzzzzzziiiiiiiiiiii",
+}
+
+
+@pytest.mark.parametrize("family,m", sorted(CONDITIONS))
+def test_every_column_has_its_blocking_condition(family, m):
+    assert set(FAMILIES) == {f for f, _ in CONDITIONS}
+    # the vertices once in each block, each run with a total amount of 1
+    design = BlockedDesign.from_arrays(
+        m, FAMILIES[family].kind, np.vstack([np.eye(m)] * 2),
+        np.zeros((2 * m, m * (m - 1) // 2)), np.repeat([1, 2], m),
+        np.ones(2 * m), n_blocks=2)
+    spec = ModelSpec(family, include_pwo=True,
+                     interaction_terms=full_interaction_set(m),
+                     include_block=True)
+    report = check_orthogonal_blocking(design, spec)
+    assert [c.term for c in report.conditions] == \
+        list(column_names(replace(spec, include_block=False), m))
+    assert [c.condition for c in report.conditions] == \
+        [CONDITION_CODES[code] for code in CONDITIONS[family, m]]
 
 
 def test_blocking_fails_with_named_condition():
@@ -164,6 +219,12 @@ def test_blocking_single_block_raises():
                       runs=(Run((0.5, 0.5, 0), (1, 0, 0), 1),), n_blocks=1)
     with pytest.raises(NothingToCheck):
         check_orthogonal_blocking(d, ModelSpec("scheffe_linear"))
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_blocking_refuses_a_negative_or_nan_tol(tol):
+    with pytest.raises(Unsupported, match=re.escape(f"got {tol}")):
+        check_orthogonal_blocking(czitrom_d_oofa(), scheffe_spec(), tol=tol)
 
 
 def test_analyses_of_one_matrix_share_one_factorization(qr_calls):
@@ -257,6 +318,43 @@ def test_ca_projection_results_do_not_depend_on_the_amount_unit(log_a_max):
     assert np.max(np.abs(np.array(fit.estimates) * norms - planted)) <= 1e-10
 
 
+def _labels_swapped(design):
+    return BlockedDesign.from_arrays(
+        design.m, design.kind, design.values, design.pwo, 3 - design.block,
+        design.amount, design.n_blocks, design.as_printed)
+
+
+SWAP_CASES = (
+    (czitrom_d_optimal(), scheffe_spec(pwo=False, interactions=False)),
+    (aggarwal_a_optimal(), ModelSpec("k_quadratic", include_block=True)),
+    *BLOCKED_CASES,
+    *((component_amount_projection_design(a_max), CA_SPEC)
+      for a_max in (0.01, 1.0, 100.0, 1500.0, 1e5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(SWAP_CASES), seed=st.integers(0, 2 ** 32 - 1))
+def test_swapping_block_labels_only_flips_the_block_column(case, seed):
+    design, spec = case
+    swapped = _labels_swapped(design)
+    X = build_model_matrix(design, spec)
+    Y = build_model_matrix(swapped, spec)
+    # bit for bit: repr tells 0.0 from -0.0, and a NaN matches a NaN
+    assert repr(criteria_report(Y)) == repr(criteria_report(X))
+    base = check_orthogonal_blocking(design, spec)
+    other = check_orthogonal_blocking(swapped, spec)
+    assert other.passed == base.passed
+    assert other.conditions == tuple(
+        replace(c, block_sums=c.block_sums[::-1]) for c in base.conditions)
+    y = np.random.default_rng(seed).normal(size=design.n)
+    fit_x, fit_y = ols_fit(X, y), ols_fit(Y, y)
+    blk = X.columns.index("blk")
+    flipped = list(fit_y.estimates)
+    flipped[blk] = -flipped[blk]
+    assert flipped == list(fit_x.estimates)
+    assert fit_y.se == fit_x.se
+
 
 def _amount_degree(name: str) -> int:
     """Degree of a column in the component amounts, read from its name."""
@@ -340,6 +438,19 @@ def test_power_requires_residual_df():
     X = ModelMatrix(("a", "b"), np.eye(2))
     with pytest.raises(InsufficientDF):
         power_table(X)
+
+
+@pytest.mark.parametrize("alpha,effect_sd,name", [
+    (1.5, 2.0, "alpha"), (1.0, 2.0, "alpha"), (0.0, 2.0, "alpha"),
+    (-0.05, 2.0, "alpha"), (math.nan, 2.0, "alpha"),
+    (0.05, math.nan, "effect_sd"), (0.05, -math.inf, "effect_sd")])
+def test_power_refuses_bad_alpha_or_effect(alpha, effect_sd, name):
+    X = coded_model_matrix(czitrom_d_oofa(), scheffe_spec())
+    # inside (0, 1) no power exceeds 1
+    for level in (0.05, 0.5, 0.999):
+        assert max(r.power for r in power_table(X, alpha=level).values()) <= 1
+    with pytest.raises(Unsupported, match=name):
+        power_table(X, alpha=alpha, effect_sd=effect_sd)
 
 
 def test_term_r_squared_orthogonal_columns():
