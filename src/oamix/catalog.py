@@ -16,6 +16,8 @@ catalog is oofa_expand of an unordered base design.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 
 import numpy as np
 
@@ -151,10 +153,13 @@ def component_amount_projection_design(a_max: float) -> BlockedDesign:
     A three-component projection of a simplex lattice with total amount
     varying over four levels {0.24, 0.75, 0.76, 1.0} x a_max. Component
     amounts are the unit-scale lattice values times a_max; each run's total
-    is the row sum.
+    is the row sum. a_max must be finite and positive, with a square that
+    is a normal float (about 1.5e-154 to 1.3e154): a_max^2 neither
+    overflows nor loses digits.
     """
-    if not a_max > 0:
-        raise InvalidAmount(f"a_max must be positive, got {a_max}")
+    if not (a_max > 0 and sys.float_info.min <= a_max * a_max < math.inf):
+        raise InvalidAmount(f"a_max must be positive with a normal float "
+                            f"square (about 1.5e-154 to 1.3e154), got {a_max}")
     rows = np.array(_CA_PROJECTION_UNIT, dtype=float)
     values = rows[:, :3] * a_max
     # row totals, added left to right

@@ -60,13 +60,13 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     return FitResult(
         columns=X.columns,
-        estimates=tuple(float(b) for b in beta),
-        se=tuple(float(s) for s in se),
+        estimates=tuple(beta.tolist()),
+        se=tuple(se.tolist()),
         sigma_hat=float(sigma_hat),
         df_residual=df,
         r_squared=float(r2),
-        residuals=tuple(float(r) for r in resid),
-        fitted=tuple(float(f) for f in fitted),
+        residuals=tuple(resid.tolist()),
+        fitted=tuple(fitted.tolist()),
         info_inv=f.inv)
 
 

@@ -5,18 +5,24 @@ Design CSV layout: header `run`, then `x1..xm` (proportion) or `a1..am`
 trailing `A` column when runs carry a total amount (required for amount
 designs). Numbers are written with up to 6 significant digits, trailing
 zeros trimmed; parsed designs are treated as printed data (rounded), so a
-write/parse round trip preserves every catalog design exactly. Pair and
-block cells must hold integers (`1` or `1.0`); a fraction there is refused,
-never truncated.
+write/parse round trip preserves every catalog design exactly.
+
+Cells are read in one format. A number is ASCII decimal text as float()
+reads it (`0.25`, `-1`, `2.5e-3`, `1.0`, `inf`, `nan`), spaces around it
+allowed; `1_000` and non-ASCII digits are refused. A cell may be quoted
+with `"` (`""` inside quotes is one quote). Lines end in LF or CRLF; blank
+lines are skipped; `#` starts no comment. Pair and block cells must hold
+integers (`1` or `1.0`); a fraction there is refused, never truncated. An
+empty `A` cell means the run has no total amount. A refusal names the first
+bad line, counting the header as line 1 and skipping blank lines, and its
+first bad cell.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -74,41 +80,66 @@ def write_design_csv(design: BlockedDesign) -> str:
     return header + "".join(f"{i},{row}\n" for i, row in enumerate(rows, 1))
 
 
+def _number(cell: str) -> float:
+    """A number cell as np.loadtxt reads one: float() of the stripped text
+    when it is ASCII and holds no underscore; the refusal is float()'s."""
+    s = cell.strip()
+    if s.isascii() and "_" not in s:
+        try:
+            return float(s)
+        except ValueError:
+            pass
+    raise ValueError(f"could not convert string to float: {cell!r}")
+
+
+def _amount(cell: str) -> float:
+    """An `A` cell, read stripped: empty means no amount (NaN)."""
+    s = cell.strip()
+    return _number(s) if s else math.nan
+
+
 def _integer(cell: str) -> int:
     """An integral cell such as `1` or `1.0`; anything else is refused."""
-    v = float(cell)
+    v = _number(cell)
     if not v.is_integer():
         raise ValueError(f"not an integer: {cell.strip()!r}")
     return int(v)
 
 
-def _refuse_first_bad_line(data, m: int, npairs: int, with_amount: bool):
+def _data_rows(data: str):
+    """The data lines' cells, blank lines skipped."""
+    return filter(None, csv.reader(io.StringIO(data)))
+
+
+def _refuse_first_bad_line(data: str, m: int, npairs: int, with_amount: bool):
     """Raise SchemaError for the first data line with the wrong field count
     or a cell that is not a number (an integer in pair and block cells),
-    reading cells in order: components, pairs, block, amount."""
+    reading cells in order: components, pairs, block, amount. Lines are
+    counted from the header, blank lines skipped."""
     width = 1 + m + npairs + 1 + with_amount
-    for lineno, row in enumerate(data, start=2):
+    for lineno, row in enumerate(_data_rows(data), start=2):
         if len(row) != width:
             raise SchemaError(
                 f"line {lineno}: expected {width} fields, got {len(row)}")
         try:
             for cell in row[1:1 + m]:
-                float(cell)
+                _number(cell)
             for cell in row[1 + m:2 + m + npairs]:
                 _integer(cell)
-            if with_amount and row[-1].strip():
-                float(row[-1].strip())
+            if with_amount:
+                _amount(row[-1])
         except ValueError as e:
             raise SchemaError(f"line {lineno}: {e}") from None
 
 
 def parse_design_csv(text: str) -> BlockedDesign:
     """Parse and validate a design file; see module doc for the layout."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    if not rows:
+    f = io.StringIO(text)
+    header = next(filter(None, csv.reader(f)), None)
+    if header is None:
         raise SchemaError("empty file: no header row")
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0] != "run":
+    header = [h.strip() for h in header]
+    if header[0] != "run":
         raise SchemaError(f"first column must be 'run', got {header[:1]}")
 
     # component columns: x1.. or a1.., contiguous from position 1
@@ -128,34 +159,37 @@ def parse_design_csv(text: str) -> BlockedDesign:
     if kind == "amount" and not with_amount:
         raise SchemaError("amount designs require a trailing 'A' column")
 
-    data = rows[1:]
-    if not data:
+    data = f.read()  # every line after the header
+    if not data.strip("\r\n"):
         raise EmptyDesign("design file has a header but no data rows")
     npairs = len(pair_indices(m))
-    given = ([row[-1].strip() for row in data] if with_amount
-             else [""] * len(data))
-    # components, pairs and block: one float per cell, then the checks on
-    # the whole array; the line is looked for only when a check fails
-    k = m + npairs + 1
+    width = len(header)
+    k = m + npairs + 1  # components, pairs and block; then A if present
+    # one pass over every cell, then the checks on the whole array; the
+    # line is looked for only when a check fails
     try:
-        if set(map(len, data)) != {len(header)}:
-            raise ValueError
-        cells = np.fromiter(map(float, itertools.chain.from_iterable(
-            map(operator.itemgetter(slice(1, 1 + k)), data))),
-            dtype=float, count=len(data) * k)
-        F = cells.reshape(len(data), k)
-        integral = F[:, m:]
-        if not (np.isfinite(integral) & (np.floor(integral) == integral)).all():
-            raise ValueError
-        amount = np.array([float(c) if c else math.nan for c in given])
-    except ValueError:
+        F = np.loadtxt(io.StringIO(data), delimiter=",",
+                       usecols=range(1, width), ndmin=2, comments=None,
+                       quotechar='"', converters=(
+                           {width - 1: _amount} if with_amount else None))
+    except ValueError as e:
         _refuse_first_bad_line(data, m, npairs, with_amount)
-        raise
-    V, Z, B = F[:, :m], F[:, m:m + npairs], F[:, -1]
+        raise SchemaError(f"unreadable design data: {e}") from None
+    integral = F[:, m:k]
+    # usecols skips extra fields, so the commas count them; a comma quoted
+    # in a run cell counts too, and the scan then finds no bad line
+    if (data.count(",") != len(F) * (width - 1) or not
+            (np.isfinite(integral) & (np.floor(integral) == integral)).all()):
+        _refuse_first_bad_line(data, m, npairs, with_amount)
+    V, Z, B = F[:, :m], F[:, m:m + npairs], F[:, k - 1]
+    amount = F[:, k] if with_amount else np.full(len(F), math.nan)
+    given = ~np.isnan(amount)
+    if with_amount and not given.all():  # empty is absent, `nan` is given
+        given = [row[-1].strip() != "" for row in _data_rows(data)]
     # n runs fill at most n blocks: a larger label is out of range
-    n_blocks = min(int(B.max()), len(data))
+    n_blocks = min(int(B.max()), len(F))
     violations = validate_columns(m, kind, n_blocks, True, V, Z, B, amount,
-                                  [c != "" for c in given])
+                                  given)
     if violations:
         raise InvalidDesign(violations)
     return BlockedDesign.from_arrays(m, kind, V, Z, B, amount, n_blocks,

@@ -4,20 +4,24 @@ These deliberately avoid the library's own linear-algebra kernel so that
 agreement between the two is evidence, not tautology. The per-run design
 oracles (expansion, CSV writing, structural validation) loop over Run
 objects one at a time, the way the library did before designs were held
-as columns.
+as columns. The design-file reader converts one cell at a time with
+float(), the way the library did before it read files with np.loadtxt.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 
 import numpy as np
 
 from oamix.core import (AMOUNT_SUM_TOL, AS_PRINTED_SUM_TOL,
-                        PROPORTION_SUM_TOL, Run, Violation, n_pairs,
-                        pair_indices)
+                        PROPORTION_SUM_TOL, BlockedDesign, Run, Violation,
+                        n_pairs, pair_indices, validate_columns)
+from oamix.errors import EmptyDesign, InvalidDesign, SchemaError
 from oamix.pwo import enumerate_orderings
 from oamix.serialize import _header, fmt_num
 
@@ -44,6 +48,87 @@ def design_csv(m: int, kind: str, runs) -> str:
             row.append(fmt_num(run.amount) if run.amount is not None else "")
         w.writerow(row)
     return out.getvalue()
+
+
+def _integer(cell: str) -> int:
+    v = float(cell)
+    if not v.is_integer():
+        raise ValueError(f"not an integer: {cell.strip()!r}")
+    return int(v)
+
+
+def _refuse_first_bad_line(data, m: int, npairs: int, with_amount: bool):
+    width = 1 + m + npairs + 1 + with_amount
+    for lineno, row in enumerate(data, start=2):
+        if len(row) != width:
+            raise SchemaError(
+                f"line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            for cell in row[1:1 + m]:
+                float(cell)
+            for cell in row[1 + m:2 + m + npairs]:
+                _integer(cell)
+            if with_amount and row[-1].strip():
+                float(row[-1].strip())
+        except ValueError as e:
+            raise SchemaError(f"line {lineno}: {e}") from None
+
+
+def parse_design_csv_per_cell(text: str) -> BlockedDesign:
+    """The design-file reader: csv.reader over the whole file, one float()
+    per cell; a failed check scans for the first bad line."""
+    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    if not rows:
+        raise SchemaError("empty file: no header row")
+    header = [h.strip() for h in rows[0]]
+    if not header or header[0] != "run":
+        raise SchemaError(f"first column must be 'run', got {header[:1]}")
+    prefix = header[1][:1] if len(header) > 1 else ""
+    m = 0
+    while 1 + m < len(header) and header[1 + m] == f"{prefix}{m + 1}":
+        m += 1
+    if prefix not in ("x", "a") or m < 2:
+        raise SchemaError(
+            f"expected component columns x1..xm or a1..am, got {header[1:3]}")
+    kind = "amount" if prefix == "a" else "proportion"
+    with_amount = header[-1] == "A"
+    expected = _header(m, kind, with_amount)
+    if header != expected:
+        raise SchemaError(f"expected header {','.join(expected)}, "
+                          f"got {','.join(header)}")
+    if kind == "amount" and not with_amount:
+        raise SchemaError("amount designs require a trailing 'A' column")
+
+    data = rows[1:]
+    if not data:
+        raise EmptyDesign("design file has a header but no data rows")
+    npairs = len(pair_indices(m))
+    given = ([row[-1].strip() for row in data] if with_amount
+             else [""] * len(data))
+    k = m + npairs + 1
+    try:
+        if set(map(len, data)) != {len(header)}:
+            raise ValueError
+        cells = np.fromiter(map(float, itertools.chain.from_iterable(
+            map(operator.itemgetter(slice(1, 1 + k)), data))),
+            dtype=float, count=len(data) * k)
+        F = cells.reshape(len(data), k)
+        integral = F[:, m:]
+        if not (np.isfinite(integral)
+                & (np.floor(integral) == integral)).all():
+            raise ValueError
+        amount = np.array([float(c) if c else math.nan for c in given])
+    except ValueError:
+        _refuse_first_bad_line(data, m, npairs, with_amount)
+        raise
+    V, Z, B = F[:, :m], F[:, m:m + npairs], F[:, -1]
+    n_blocks = min(int(B.max()), len(data))
+    violations = validate_columns(m, kind, n_blocks, True, V, Z, B, amount,
+                                  [c != "" for c in given])
+    if violations:
+        raise InvalidDesign(violations)
+    return BlockedDesign.from_arrays(m, kind, V, Z, B, amount, n_blocks,
+                                     as_printed=True)
 
 
 def run_violations(m: int, kind: str, runs, n_blocks: int,

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -169,8 +170,16 @@ def test_ca_projection_scaling_invariance():
         assert rm.pwo == ru.pwo and rm.block == ru.block
 
 
-def test_ca_projection_rejects_bad_amount():
-    with pytest.raises(InvalidAmount):
-        component_amount_projection_design(0.0)
-    with pytest.raises(InvalidAmount):
-        component_amount_projection_design(-5.0)
+@pytest.mark.parametrize("a_max", [0.0, -5.0, math.nan, math.inf, -math.inf,
+                                   1e-320, 1e-155, 1e155, 1e300])
+def test_ca_projection_rejects_bad_amount(a_max):
+    with pytest.raises(InvalidAmount, match="a_max must be positive"):
+        component_amount_projection_design(a_max)
+
+
+@pytest.mark.parametrize("a_max", [1.5e-154, 1e-9, 1e9, 1.3e154])
+def test_ca_projection_accepts_amounts_with_normal_squares(a_max):
+    d = component_amount_projection_design(a_max)
+    np.testing.assert_allclose(d.values / a_max,
+                               component_amount_projection_design(1.0).values,
+                               rtol=1e-15)

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,18 @@ def test_catalog_rejects_a_max_elsewhere(tmp_path, capsys):
     code = run_cli("catalog", "czitrom-d", "--a-max", "50",
                    "-o", str(tmp_path / "x.csv"))
     assert code == 2
+
+
+@pytest.mark.parametrize("a_max", ["inf", "1e-320"])
+def test_catalog_refuses_a_max_without_a_normal_square(tmp_path, capsys,
+                                                       a_max):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("catalog", "ca-projection", "--a-max", a_max,
+                       "-o", str(out))
+    assert code == 3 and not out.exists()
+    assert "a_max must be positive" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error():

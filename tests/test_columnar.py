@@ -3,21 +3,25 @@
 Random designs (m 2..6, random supports, 1-3 blocks, amount present or
 absent, planted bad cells) go through the array code of oofa_expand,
 write_design_csv, parse_design_csv and validate_design and through the
-oracles that loop over Run objects; the two must agree exactly.
+oracles that loop over Run objects; the two must agree exactly. Design
+files, written from such designs and then mutated cell by cell, go through
+parse_design_csv and the per-cell reader, which must agree too.
 """
 
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import design_csv, expand_runs, run_violations, support_pair_rules
+from _oracles import (design_csv, expand_runs, parse_design_csv_per_cell,
+                      run_violations, support_pair_rules)
 from oamix.catalog import oofa_expand
 from oamix.core import BlockedDesign, Run, pair_indices, validate_design
-from oamix.errors import InvalidDesign, SchemaError
+from oamix.errors import InvalidDesign, OamixError, SchemaError
 from oamix.pwo import pwo_from_run
-from oamix.serialize import parse_design_csv, write_design_csv
+from oamix.serialize import _number, parse_design_csv, write_design_csv
 
 SUPPORT_RULES = ("pwo_partial", "pwo_cyclic")
 FINITE_PLANTS = ("negative", "sum", "z_range", "z_zero_component", "partial",
@@ -149,3 +153,88 @@ def test_parser_reports_the_run_by_run_rules(d):
         assert run_violations(d.m, d.kind, d.runs, n_blocks, True) == []
         assert support_pair_rules(d.m, d.runs) == []
         assert_same_columns(parsed, d)
+
+
+# cell texts for the mutations of mutated_files; none holds an underscore
+# or a non-ASCII digit, which the two readers treat differently on purpose
+FRACTIONS = ("0.5", "1.5", "-0.25", "1.0", "-1.0", "2.0", "1e0", "nan", "inf")
+WORDS = ("abc", "", " ", "1e", "1.2.3", "0x1", "1e5", "+1", ".5", "-inf",
+         "Infinity", '""', "1 2")
+BLANKS = ("", "  ", "\t")
+MUTATIONS = ("blank", "space", "quote", "crlf", "fraction", "word", "drop",
+             "extra", "run_comma")
+
+
+@st.composite
+def mutated_files(draw):
+    """A written design file with up to five mutations: spaces or quotes
+    around a cell, CRLF line ends, blank (or whitespace) lines, fractions
+    or words in cells, a cell dropped or added, a comma quoted in a run
+    cell."""
+    d = draw(designs(plants=FINITE_PLANTS))
+    rows = [line.split(",") for line in write_design_csv(d).splitlines()]
+    ends = ["\n"] * len(rows)
+    for _ in range(draw(st.integers(0, 5))):
+        r = draw(st.integers(0, len(rows)))
+        mutation = draw(st.sampled_from(MUTATIONS))
+        if mutation == "blank" or r == len(rows):
+            rows.insert(r, [draw(st.sampled_from(BLANKS))])
+            ends.insert(r, "\n")
+            continue
+        row = rows[r]
+        if not row or r == 0 and mutation not in ("space", "quote", "crlf"):
+            continue  # the header keeps its names
+        c = draw(st.integers(0, len(row) - 1))
+        if mutation == "space":
+            row[c] = draw(st.sampled_from([" ", "\t", "\xa0"])) + row[c] + " "
+        elif mutation == "quote":
+            row[c] = f'"{row[c]}"'
+        elif mutation == "crlf":
+            ends[r] = "\r\n"
+        elif mutation == "fraction":
+            row[c] = draw(st.sampled_from(FRACTIONS))
+        elif mutation == "word":
+            row[c] = draw(st.sampled_from(WORDS))
+        elif mutation == "drop":
+            del row[c]
+        elif mutation == "extra":
+            row.insert(c, draw(st.sampled_from(["0", "", "x"])))
+        else:
+            row[0] = f'"{row[0]},x"'
+    text = "".join(",".join(row) + end for row, end in zip(rows, ends))
+    return text[:-1] if draw(st.booleans()) else text
+
+
+def read(parse, text):
+    """parse(text) as comparable facts: the design's columns, or the
+    refusal's type, message and violations."""
+    try:
+        d = parse(text)
+    except OamixError as e:
+        return type(e), str(e), getattr(e, "violations", None)
+    return d.m, d.kind, d.n_blocks, [np.asarray(getattr(d, name)).tolist()
+                                     for name in ("values", "pwo", "block")], \
+        np.isnan(d.amount).tolist(), np.nan_to_num(d.amount).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_files())
+def test_parser_matches_the_per_cell_reader(text):
+    assert read(parse_design_csv, text) == \
+        read(parse_design_csv_per_cell, text)
+
+
+CELL_CHARS = "0123456789.eE+-_ \t\xa0\x0b\x0c\x1finfatyxI\u0661\uff11\u2003"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(CELL_CHARS, max_size=8))
+def test_cell_rule_is_np_loadtxt_rule(cell):
+    try:
+        want = np.loadtxt(io.StringIO(f"0,{cell}\n"), delimiter=",",
+                          usecols=[1], comments=None, quotechar='"').item()
+    except ValueError:
+        with pytest.raises(ValueError):
+            _number(cell)
+    else:
+        assert np.array_equal(_number(cell), want, equal_nan=True)

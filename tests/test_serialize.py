@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from _oracles import parse_design_csv_per_cell
 from oamix.catalog import (component_amount_projection_design, czitrom_d_oofa,
                            czitrom_d_optimal)
 from oamix.core import BlockedDesign, Run
@@ -36,6 +37,41 @@ def test_integral_floats_are_accepted():
     assert "1.0,0,0,1.0\n" in text
     assert parse_design_csv(text).runs == parse_design_csv(
         write_design_csv(czitrom_d_oofa())).runs
+
+
+# the two cells the reader refuses although float() reads them, where the
+# per-cell reader of _oracles.py took them as numbers
+@pytest.mark.parametrize("col, value", [(X1, "0.1_68"), (BLOCK, "0_1"),
+                                        (X1, "\u0660.\u0661\u0666\u0668"),
+                                        (Z12, "\uff11")])
+def test_underscores_and_non_ascii_digits_are_refused_by_line(col, value):
+    text = with_cell(col, value)
+    assert parse_design_csv_per_cell(text).runs == czitrom_d_oofa().runs
+    with pytest.raises(SchemaError, match=f"^line 2: could not convert "
+                                          f"string to float: '{value}'$"):
+        parse_design_csv(text)
+
+
+def test_quotes_spaces_crlf_and_blank_lines_are_read_as_before():
+    lines = write_design_csv(czitrom_d_oofa()).splitlines()
+    lines[1] = '1," 0.168 ",\t0.832,0,"1",0,0,1.0 '
+    text = "\r\n\r\n".join(lines) + "\r\n"
+    assert parse_design_csv(text).runs == czitrom_d_oofa().runs
+    assert parse_design_csv_per_cell(text).runs == czitrom_d_oofa().runs
+
+
+def test_hash_starts_no_comment():
+    text = with_cell(0, "#1").replace("\n2,", "\n#,", 1)
+    assert parse_design_csv(text).runs == czitrom_d_oofa().runs
+    with pytest.raises(SchemaError, match="line 2: .*'0.168#'"):
+        parse_design_csv(with_cell(X1, "0.168#"))
+
+
+def test_data_np_loadtxt_cannot_split_is_a_schema_error():
+    # csv.reader skips a line of two carriage returns; np.loadtxt reads the
+    # first as an unquoted line break inside the line
+    with pytest.raises(SchemaError, match="^unreadable design data: "):
+        parse_design_csv(write_design_csv(czitrom_d_oofa()) + "\r\r\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
