@@ -74,7 +74,10 @@ def czitrom_d_optimal() -> BlockedDesign:
 def aggarwal_a_optimal() -> BlockedDesign:
     """Aggarwal's A-optimal counterpart of czitrom_d_optimal.
 
-    Same block structure with edge support points 0.239/0.761.
+    Same block structure with edge support points 0.239/0.761: the edge
+    point that minimizes trace((X'X)^-1) under the K-model (Kronecker
+    quadratic, k_quadratic). Under the Scheffe quadratic the A-optimal edge
+    point is 0.183 instead.
     """
     return _latin_square_blocks(0.239, 0.761)
 
@@ -135,7 +138,7 @@ def oofa_expand(base: BlockedDesign) -> BlockedDesign:
     # differences below cheap
     step = np.zeros((len(rep), m), dtype=np.int8)
     size_out = size[rep]
-    for s in np.unique(size).tolist():
+    for s in sorted(set(size.tolist())):
         rows = np.flatnonzero(size_out == s)
         table = _rank_orders(s)
         step[rows[:, None], by_value[rows, m - s:]] = table[within[rows]]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -20,14 +19,10 @@ from .core import (COMPONENT_AMOUNT_LINEAR, COMPONENT_AMOUNT_QUADRATIC,
                    K_QUADRATIC, MIXTURE_AMOUNT_LINEAR,
                    MIXTURE_AMOUNT_QUADRATIC, SCHEFFE_QUADRATIC, ModelSpec)
 from .errors import InsufficientDF, OamixError, SingularMatrix, Unsupported
-from .evaluate import (CONVENTION_NOTES, check_orthogonal_blocking,
-                       criteria_report, fds_curve, power_table,
-                       term_r_squared)
-from .fit import ols_fit
-from .modelmat import (build_model_matrix, coded_model_matrix,
-                       default_interaction_subset, full_interaction_set)
-from .serialize import (fmt_num, parse_design_csv, write_design_csv,
-                        write_fds_outputs)
+
+# Each command imports the modules it needs inside its handler, so that a
+# fresh process compiles and runs only those: catalog and expand never load
+# modelmat, evaluate or fit.
 
 MODEL_FAMILIES = {
     "scheffe-q": SCHEFFE_QUADRATIC,
@@ -56,6 +51,7 @@ def _resolve_interactions(arg: str, m: int, include_pwo: bool):
     model has no pairwise columns); `none` and `full` as named; otherwise a
     comma list like `1:12,1:13,2:23`.
     """
+    from .modelmat import default_interaction_subset, full_interaction_set
     if not include_pwo or arg == "none":
         return ()
     if arg == "default":
@@ -90,6 +86,11 @@ def _spec_from_args(args, m: int) -> ModelSpec:
                      include_block=args.block)
 
 
+def _print_json(obj) -> None:
+    import json  # only the --json reports load it
+    print(json.dumps(obj, indent=2))
+
+
 def _positive_int(text: str) -> int:
     """argparse type for a count of at least 1."""
     if not text.isdecimal() or int(text) < 1:
@@ -111,6 +112,7 @@ def _seed_from_args(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .serialize import write_design_csv
     if args.name == "ca-projection":
         design = cat.CATALOG[args.name](args.a_max)
     else:
@@ -125,6 +127,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .serialize import parse_design_csv, write_design_csv
     design = parse_design_csv(_read(args.input))
     expanded = cat.oofa_expand(design)
     _write(args.output, write_design_csv(expanded))
@@ -133,11 +136,13 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_check_blocks(args) -> int:
+    from .evaluate import check_orthogonal_blocking
+    from .serialize import parse_design_csv
     design = parse_design_csv(_read(args.input))
     spec = _spec_from_args(args, design.m)
     report = check_orthogonal_blocking(design, spec, tol=args.tol)
     if args.json:
-        print(json.dumps(dataclasses.asdict(report), indent=2))
+        _print_json(dataclasses.asdict(report))
     else:
         print(f"{'condition':<20} {'term':<12} {'discrepancy':>12} "
               f"{'tol':>8}  result")
@@ -153,6 +158,9 @@ def _table_or_nan(v: float) -> str:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluate import criteria_report
+    from .modelmat import build_model_matrix
+    from .serialize import parse_design_csv
     design = parse_design_csv(_read(args.input))
     spec = _spec_from_args(args, design.m)
     X = build_model_matrix(design, spec)
@@ -162,7 +170,7 @@ def _cmd_eval(args) -> int:
         eval_points = build_model_matrix(other, spec).data
     report = criteria_report(X, eval_points)
     if args.json:
-        print(json.dumps(dataclasses.asdict(report), indent=2))
+        _print_json(dataclasses.asdict(report))
         return 0
     print(f"n={report.n}  p={report.p}")
     print(f"det_xtx      {report.det_xtx:.6g}")
@@ -181,6 +189,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .evaluate import CONVENTION_NOTES, power_table, term_r_squared
+    from .modelmat import coded_model_matrix
+    from .serialize import parse_design_csv
     design = parse_design_csv(_read(args.input))
     spec = _spec_from_args(args, design.m)
     X = coded_model_matrix(design, spec)
@@ -197,7 +208,7 @@ def _cmd_power(args) -> int:
                 for name, row in table.items()],
             "notes": list(CONVENTION_NOTES),
         }
-        print(json.dumps(obj, indent=2))
+        _print_json(obj)
         return 0
     print(f"n={X.n}  p={X.p}  df={X.n - X.p}  alpha={args.alpha}  "
           f"effect_sd={args.effect_sd}  basis={X.basis}")
@@ -211,6 +222,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_fds(args) -> int:
+    from .evaluate import fds_curve
+    from .serialize import parse_design_csv, write_fds_outputs
     design = parse_design_csv(_read(args.input))
     spec = _spec_from_args(args, design.m)
     seed = _seed_from_args(args)
@@ -242,6 +255,9 @@ def _read_response(path: str, n: int):
 
 
 def _cmd_fit(args) -> int:
+    from .fit import ols_fit
+    from .modelmat import build_model_matrix
+    from .serialize import fmt_num, parse_design_csv
     design = parse_design_csv(_read(args.input))
     spec = _spec_from_args(args, design.m)
     X = build_model_matrix(design, spec)

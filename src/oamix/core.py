@@ -192,8 +192,8 @@ class BlockedDesign:
 
     def amount_levels(self) -> tuple[float, ...]:
         """Distinct total-amount levels present, ascending."""
-        given = np.unique(self.amount[~np.isnan(self.amount)])
-        return tuple(sorted({round(a, 12) for a in given.tolist()}))
+        given = self.amount[~np.isnan(self.amount)].tolist()
+        return tuple(sorted({round(a, 12) for a in given}))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec, n_pairs
 from .errors import InsufficientDF, NothingToCheck, SchemaError, Unsupported
-from .linalg import det_xtx, log_det_xtx
+from .linalg import _point_variances, det_xtx, log_det_xtx
 from .modelmat import _terms, build_model_matrix, model_rows
 from .pwo import pwo_from_run
 
@@ -127,11 +127,6 @@ class EvalReport:
     notes: tuple[str, ...] = CONVENTION_NOTES
 
 
-def _point_variances(rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """v'(X'X)^-1 v for every row v."""
-    return np.sum((rows @ inv) * rows, axis=1)
-
-
 def _column_r2(X: ModelMatrix, inv: np.ndarray) -> list[float]:
     T = X.data
     if "1" in X.columns:
@@ -218,9 +213,10 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     exponentials), a total amount uniform over the design's amount levels
     when the model uses one, an addition order uniform over the full
     support, and a fair +/-1 block; its prediction variance comes from the
-    design's information matrix. Sample s uses an independent substream
-    seeded by seed XOR s, so partitioned or partial runs agree with full
-    runs sample for sample. Variances are sorted ascending against
+    design's information matrix. Sample s draws from its own generator,
+    seeded by the 128-bit integer (seed mod 2^64) * 2^64 + s: partitioned or
+    partial runs agree with full runs sample for sample, and two seeds never
+    share a sample's stream. Variances are sorted ascending against
     fractions (i - 0.5)/n_samples.
     """
     if n_samples < 1:
@@ -233,6 +229,7 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     use_amount = (design.kind == "amount"
                   or bool(FAMILIES[spec.family].amount_powers))
 
+    stream = (seed & _MASK64) << 64  # the high half of every sample's seed
     pvs = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         k = min(_CHUNK, n_samples - lo)
@@ -241,7 +238,7 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
         block = np.empty(k, dtype=int)
         amount = np.full(k, math.nan) if use_amount else None
         for i in range(k):
-            rng = np.random.default_rng((seed ^ (lo + i)) & _MASK64)
+            rng = np.random.default_rng(stream | (lo + i))
             e = rng.standard_exponential(m)
             x = e / e.sum()
             if use_amount:

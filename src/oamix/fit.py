@@ -8,8 +8,7 @@ import numpy as np
 
 from .core import ModelMatrix
 from .errors import InsufficientDF, SchemaError
-from .evaluate import _point_variances
-from .linalg import lstsq
+from .linalg import _point_variances, lstsq
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,11 @@ def factor(X) -> Factor:
     return f
 
 
+def _point_variances(rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """v'(X'X)^-1 v for every row v, given inv = Factor.inv."""
+    return np.sum((rows @ inv) * rows, axis=1)
+
+
 def det_xtx(f: Factor) -> float:
     """det(X'X) = det(D)^2 * prod(s)^2, the plain product: inf or 0 where
     it leaves the float range (log_det_xtx stays finite)."""

@@ -23,13 +23,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (BlockedDesign, pair_indices, validate_columns,
                    validate_design)
 from .errors import EmptyDesign, InvalidDesign, SchemaError
-from .evaluate import FDSCurve
+
+if TYPE_CHECKING:  # annotations only: writing a design never loads evaluate
+    from .evaluate import FDSCurve
 
 
 def fmt_num(v: float) -> str:
@@ -107,8 +110,16 @@ def _integer(cell: str) -> int:
 
 
 def _data_rows(data: str):
-    """The data lines' cells, blank lines skipped."""
-    return filter(None, csv.reader(io.StringIO(data)))
+    """(line number, cells) of every data line, counting the header as
+    line 1 and skipping blank lines; a line that csv cannot split (a bare
+    CR inside it) is refused with SchemaError by its number."""
+    lineno = 1
+    try:
+        for row in filter(None, csv.reader(io.StringIO(data))):
+            lineno += 1
+            yield lineno, row
+    except csv.Error as e:
+        raise SchemaError(f"line {lineno + 1}: {e}") from None
 
 
 def _refuse_first_bad_line(data: str, m: int, npairs: int, with_amount: bool):
@@ -117,7 +128,7 @@ def _refuse_first_bad_line(data: str, m: int, npairs: int, with_amount: bool):
     reading cells in order: components, pairs, block, amount. Lines are
     counted from the header, blank lines skipped."""
     width = 1 + m + npairs + 1 + with_amount
-    for lineno, row in enumerate(_data_rows(data), start=2):
+    for lineno, row in _data_rows(data):
         if len(row) != width:
             raise SchemaError(
                 f"line {lineno}: expected {width} fields, got {len(row)}")
@@ -135,7 +146,10 @@ def _refuse_first_bad_line(data: str, m: int, npairs: int, with_amount: bool):
 def parse_design_csv(text: str) -> BlockedDesign:
     """Parse and validate a design file; see module doc for the layout."""
     f = io.StringIO(text)
-    header = next(filter(None, csv.reader(f)), None)
+    try:
+        header = next(filter(None, csv.reader(f)), None)
+    except csv.Error as e:
+        raise SchemaError(f"line 1: {e}") from None
     if header is None:
         raise SchemaError("empty file: no header row")
     header = [h.strip() for h in header]
@@ -185,7 +199,7 @@ def parse_design_csv(text: str) -> BlockedDesign:
     amount = F[:, k] if with_amount else np.full(len(F), math.nan)
     given = ~np.isnan(amount)
     if with_amount and not given.all():  # empty is absent, `nan` is given
-        given = [row[-1].strip() != "" for row in _data_rows(data)]
+        given = [row[-1].strip() != "" for _, row in _data_rows(data)]
     # n runs fill at most n blocks: a larger label is out of range
     n_blocks = min(int(B.max()), len(F))
     violations = validate_columns(m, kind, n_blocks, True, V, Z, B, amount,

@@ -8,8 +8,8 @@ from oamix.catalog import (CATALOG, _latin_square_blocks, aggarwal_a_oofa,
                            aggarwal_a_optimal,
                            component_amount_projection_design,
                            czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
-from oamix.core import (SCHEFFE_QUADRATIC, BlockedDesign, ModelSpec, Run,
-                        validate_design)
+from oamix.core import (K_QUADRATIC, SCHEFFE_QUADRATIC, BlockedDesign,
+                        ModelSpec, Run, validate_design)
 from oamix.errors import AlreadyExpanded, EmptySupport, InvalidAmount
 from oamix.linalg import log_det_xtx
 from oamix.modelmat import build_model_matrix
@@ -66,6 +66,25 @@ def test_latin_square_edge_point_is_d_optimal():
                            options={"xatol": 1e-7})
     assert best.success
     assert best.x == pytest.approx(0.1685, abs=5e-4)
+
+
+@pytest.mark.parametrize("family, edge", [(K_QUADRATIC, 0.23901),
+                                          (SCHEFFE_QUADRATIC, 0.18333)])
+def test_latin_square_a_optimal_edge_point_depends_on_the_model(family, edge):
+    # trace((X'X)^-1) over the edge point a (b = 1 - a) is least at
+    # Aggarwal's printed 0.239 under the K-model; the Scheffe quadratic
+    # would put it at 0.183
+    from scipy.optimize import minimize_scalar
+    spec = ModelSpec(family, include_block=True)
+
+    def a_criterion(a):
+        X = build_model_matrix(_latin_square_blocks(a, 1.0 - a), spec)
+        return float(np.trace(X.factor.inv))
+
+    best = minimize_scalar(a_criterion, bounds=(0.05, 0.45), method="bounded",
+                           options={"xatol": 1e-7})
+    assert best.success
+    assert best.x == pytest.approx(edge, abs=1e-5)
 
 
 def test_expand_matches_catalog_oofa_designs():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from collections import Counter
@@ -407,6 +408,17 @@ def test_fds_substreams_are_sample_indexed(design, spec, short, full):
     short_counts = Counter(fds_curve(design, spec, short, seed=9).variances)
     full_counts = Counter(fds_curve(design, spec, full, seed=9).variances)
     assert all(full_counts[v] >= k for v, k in short_counts.items())
+
+
+def test_fds_seeds_share_no_sample():
+    # each seed owns the high 64 bits of every sample's seed, so no two
+    # seeds draw the same sample stream (seed XOR index made 0 and 1 equal)
+    spec = scheffe_spec()
+    drawn = [set(fds_curve(czitrom_d_oofa(), spec, 10_000, seed=s).variances)
+             for s in (0, 1, 42)]
+    assert [len(v) for v in drawn] == [10_000] * 3
+    for a, b in itertools.combinations(drawn, 2):
+        assert not a & b
 
 
 def test_fds_amount_design_uses_design_levels():

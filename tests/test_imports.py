@@ -1,10 +1,15 @@
 """Start-up budget: scipy stays out of every command that reports no power,
-and the power commands load scipy.special, never scipy.stats."""
+and the power commands load scipy.special, never scipy.stats; catalog and
+expand load none of modelmat, evaluate, fit or numpy.ma, and fit does not
+load evaluate."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import oamix
 
@@ -14,20 +19,28 @@ import sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
 import oamix
+assert not [m for m in sys.modules if m.startswith("oamix.")], "import oamix"
 from oamix.cli import main
 assert not scipy_modules(), ("import oamix", scipy_modules()[:5])
 
 model = ["--model", "scheffe-q"]
-for argv in (
-        ["catalog", "czitrom-d", "-o", "base.csv"],
-        ["expand", "-i", "base.csv", "-o", "design.csv"],
-        ["check-blocks", "-i", "design.csv", *model],
-        ["fit", "-i", "design.csv", *model, "--response", "y.csv",
-         "-o", "coef.csv"],
-        ["fds", "-i", "design.csv", *model, "--samples", "50", "-o", "fds"]):
+for argv, unused in (
+        (["catalog", "czitrom-d", "-o", "base.csv"],
+         ("oamix.modelmat", "oamix.evaluate", "oamix.fit", "numpy.ma")),
+        (["expand", "-i", "base.csv", "-o", "design.csv"],
+         ("oamix.modelmat", "oamix.evaluate", "oamix.fit", "numpy.ma")),
+        (["fit", "-i", "design.csv", *model, "--response", "y.csv",
+          "-o", "coef.csv"], ("oamix.evaluate",)),
+        (["check-blocks", "-i", "design.csv", *model], ()),
+        (["fds", "-i", "design.csv", *model, "--samples", "50", "-o", "fds"],
+         ())):
     assert main(argv) == 0, argv
     assert not scipy_modules(), (argv[0], scipy_modules()[:5])
+    assert not loaded(*unused), (argv[0], loaded(*unused))
 
 for argv in (["eval", "-i", "design.csv", *model],
              ["power", "-i", "design.csv", *model]):
@@ -47,3 +60,17 @@ def test_scipy_stays_off_the_start_up_path(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_to_their_submodule_objects():
+    for name, source in oamix._SOURCES.items():
+        module = importlib.import_module(f"oamix.{source}")
+        want = module if name == source else getattr(module, name)
+        assert getattr(oamix, name) is want, name
+    assert set(oamix.__all__) <= set(dir(oamix))
+
+
+def test_unknown_public_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        oamix.nope
+    assert not hasattr(oamix, "nope")

@@ -74,6 +74,19 @@ def test_data_np_loadtxt_cannot_split_is_a_schema_error():
         parse_design_csv(write_design_csv(czitrom_d_oofa()) + "\r\r\n")
 
 
+def test_bare_carriage_return_is_refused_by_line():
+    # csv.reader cannot split a line holding a bare CR; the refusal names
+    # the line, counted from the header with blank lines skipped
+    lines = write_design_csv(czitrom_d_oofa()).splitlines()
+    header = "\n".join([lines[0].replace(",x2,", ",\rx2,"), *lines[1:]])
+    with pytest.raises(SchemaError, match="^line 1: new-line character"):
+        parse_design_csv(header + "\n")
+    lines[2] = lines[2].replace(",", ",\r", 1)
+    data = "\n".join([*lines[:2], "", *lines[2:]])
+    with pytest.raises(SchemaError, match="^line 3: new-line character"):
+        parse_design_csv(data + "\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_component_is_refused(value):
     with pytest.raises(SchemaError, match="run 1: non_finite_value"):
