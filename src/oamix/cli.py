@@ -230,7 +230,8 @@ def _cmd_fds(args) -> int:
     curve = fds_curve(design, spec, args.samples, seed)
     csv_path, svg_path = write_fds_outputs(curve, args.output)
     print(f"samples={curve.n_samples}  seed={curve.seed}  "
-          f"median={curve.median():.6f}  max={curve.maximum():.6f}")
+          f"sampler={curve.sampler}  median={curve.median():.6f}  "
+          f"max={curve.maximum():.6f}")
     print(f"wrote {csv_path} and {svg_path}")
     return 0
 

@@ -16,6 +16,7 @@ they are deliberately not matched.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -23,14 +24,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec, n_pairs
+from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec
 from .errors import InsufficientDF, NothingToCheck, SchemaError, Unsupported
 from .linalg import _point_variances, det_xtx, log_det_xtx
 from .modelmat import _terms, build_model_matrix, model_rows
-from .pwo import pwo_from_run
+from .pwo import pwo_from_permutation
 
 _MASK64 = (1 << 64) - 1
-# FDS samples drawn and evaluated per batch; bounds the sampler's memory
+# FDS samples turned into model rows and variances per batch; bounds the
+# memory of the row arrays
 _CHUNK = 1024
 
 CONVENTION_NOTES = (
@@ -191,18 +193,57 @@ def criteria_report(X: ModelMatrix,
         columns=cols)
 
 
+# Names the FDS sample stream; changes whenever a fixed seed's samples do
+FDS_SAMPLER = "per-sample-pcg64/1"
+
+
 @dataclass(frozen=True)
 class FDSCurve:
     fractions: tuple[float, ...]
     variances: tuple[float, ...]
     n_samples: int
     seed: int
+    sampler: str = FDS_SAMPLER
 
     def median(self) -> float:
         return float(np.median(self.variances))
 
     def maximum(self) -> float:
         return self.variances[-1]
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+@functools.lru_cache
+def _pwo_table(m: int) -> np.ndarray:
+    """Read-only (m!, pairs) PWO rows of every full addition order, row i
+    for the i-th order of itertools.permutations(1..m)."""
+    table = np.array([pwo_from_permutation(p, m) for p in
+                      itertools.permutations(range(1, m + 1))], dtype=float)
+    table.flags.writeable = False
+    return table
+
+
+def _fds_draws(n: int, m: int, n_levels: Optional[int], seed: int):
+    """The FDS sample stream, as arrays: sample s's generator draws m unit
+    exponentials, a level index (only with n_levels, else level is None),
+    an ordering index and a block index, in that order."""
+    E = np.empty((n, m))
+    level = None if n_levels is None else np.empty(n, dtype=np.intp)
+    order = np.empty(n, dtype=np.intp)
+    block = np.empty(n, dtype=int)
+    n_orders = math.factorial(m)
+    stream = (seed & _MASK64) << 64  # the high half of every sample's seed
+    for s in range(n):
+        rng = np.random.default_rng(stream | s)
+        E[s] = rng.standard_exponential(m)
+        if level is not None:
+            level[s] = rng.integers(n_levels)
+        order[s] = rng.integers(n_orders)
+        block[s] = rng.integers(2)
+    return E, level, order, block
 
 
 def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
@@ -216,39 +257,39 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     design's information matrix. Sample s draws from its own generator,
     seeded by the 128-bit integer (seed mod 2^64) * 2^64 + s: partitioned or
     partial runs agree with full runs sample for sample, and two seeds never
-    share a sample's stream. Variances are sorted ascending against
-    fractions (i - 0.5)/n_samples.
+    share a sample's stream; the curve's sampler field names that stream.
+    Only the draws run per sample: normalization, amounts, PWO rows (from
+    a cached table of all m! orders) and model rows are array passes.
+    Variances are sorted ascending against fractions (i - 0.5)/n_samples.
+    An n_samples that is not an integer >= 1, or a seed that is not an
+    integer (bool is neither), raises Unsupported.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if not _is_integer(n_samples) or n_samples < 1:
+        raise Unsupported(f"n_samples must be an integer >= 1, "
+                          f"got {n_samples!r}")
+    if not _is_integer(seed):
+        raise Unsupported(f"seed must be an integer, got {seed!r}")
     X = build_model_matrix(design, spec)
     inv = X.factor.inv
     m = design.m
-    perms = list(itertools.permutations(range(1, m + 1)))
     levels = design.amount_levels()
     use_amount = (design.kind == "amount"
                   or bool(FAMILIES[spec.family].amount_powers))
 
-    stream = (seed & _MASK64) << 64  # the high half of every sample's seed
+    values, level, order, block = _fds_draws(
+        n_samples, m, len(levels) if use_amount else None, int(seed))
+    values /= values.sum(axis=1, keepdims=True)
+    amount = np.asarray(levels)[level] if use_amount else None
+    if design.kind == "amount":
+        values *= amount[:, None]
+    block += 1
+    table = _pwo_table(m)
     pvs = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
-        k = min(_CHUNK, n_samples - lo)
-        values = np.empty((k, m))
-        pwo = np.empty((k, n_pairs(m)))
-        block = np.empty(k, dtype=int)
-        amount = np.full(k, math.nan) if use_amount else None
-        for i in range(k):
-            rng = np.random.default_rng(stream | (lo + i))
-            e = rng.standard_exponential(m)
-            x = e / e.sum()
-            if use_amount:
-                amount[i] = levels[int(rng.integers(len(levels)))]
-            values[i] = x * amount[i] if design.kind == "amount" else x
-            order = perms[int(rng.integers(len(perms)))]
-            pwo[i] = pwo_from_run(values[i], order)
-            block[i] = 1 + int(rng.integers(2))
-        rows = model_rows(spec, m, values, pwo, block, amount)
-        pvs[lo:lo + k] = np.einsum("ij,jk,ik->i", rows, inv, rows)
+        part = slice(lo, lo + _CHUNK)
+        rows = model_rows(spec, m, values[part], table[order[part]],
+                          block[part], None if amount is None else amount[part])
+        pvs[part] = np.einsum("ij,jk,ik->i", rows, inv, rows)
 
     pvs.sort()
     fracs = tuple((i - 0.5) / n_samples for i in range(1, n_samples + 1))

@@ -6,6 +6,8 @@ oracles (expansion, CSV writing, structural validation) loop over Run
 objects one at a time, the way the library did before designs were held
 as columns. The design-file reader converts one cell at a time with
 float(), the way the library did before it read files with np.loadtxt.
+The FDS oracle is the sampler's per-sample loop; it shares the library's
+model rows and inverse, so it checks the sampler alone.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ import operator
 
 import numpy as np
 
-from oamix.core import (AMOUNT_SUM_TOL, AS_PRINTED_SUM_TOL,
+from oamix.core import (AMOUNT_SUM_TOL, AS_PRINTED_SUM_TOL, FAMILIES,
                         PROPORTION_SUM_TOL, BlockedDesign, Run, Violation,
                         n_pairs, pair_indices, validate_columns)
 from oamix.errors import EmptyDesign, InvalidDesign, SchemaError
-from oamix.pwo import enumerate_orderings
+from oamix.evaluate import _CHUNK, _MASK64, FDSCurve
+from oamix.modelmat import build_model_matrix, model_rows
+from oamix.pwo import enumerate_orderings, pwo_from_run
 from oamix.serialize import _header, fmt_num
 
 
@@ -249,6 +253,46 @@ def mc_t_test_power(ncp: float, df: int, alpha: float, n_reps: int,
     z = rng.standard_normal(n_reps) + ncp
     s = np.sqrt(rng.chisquare(df, n_reps) / df)
     return float(np.mean(np.abs(z / s) > tcrit))
+
+
+def fds_curve_per_sample(design: BlockedDesign, spec, n_samples: int,
+                         seed: int = 0) -> FDSCurve:
+    """The FDS curve built one sample at a time: each sample's simplex
+    point, amount, PWO row (pwo_from_run) and block are formed inside the
+    draw loop, and rows and variances are taken in _CHUNK batches."""
+    X = build_model_matrix(design, spec)
+    inv = X.factor.inv
+    m = design.m
+    perms = list(itertools.permutations(range(1, m + 1)))
+    levels = design.amount_levels()
+    use_amount = (design.kind == "amount"
+                  or bool(FAMILIES[spec.family].amount_powers))
+
+    stream = (seed & _MASK64) << 64
+    pvs = np.empty(n_samples)
+    for lo in range(0, n_samples, _CHUNK):
+        k = min(_CHUNK, n_samples - lo)
+        values = np.empty((k, m))
+        pwo = np.empty((k, n_pairs(m)))
+        block = np.empty(k, dtype=int)
+        amount = np.full(k, math.nan) if use_amount else None
+        for i in range(k):
+            rng = np.random.default_rng(stream | (lo + i))
+            e = rng.standard_exponential(m)
+            x = e / e.sum()
+            if use_amount:
+                amount[i] = levels[int(rng.integers(len(levels)))]
+            values[i] = x * amount[i] if design.kind == "amount" else x
+            order = perms[int(rng.integers(len(perms)))]
+            pwo[i] = pwo_from_run(values[i], order)
+            block[i] = 1 + int(rng.integers(2))
+        rows = model_rows(spec, m, values, pwo, block, amount)
+        pvs[lo:lo + k] = np.einsum("ij,jk,ik->i", rows, inv, rows)
+
+    pvs.sort()
+    fracs = tuple((i - 0.5) / n_samples for i in range(1, n_samples + 1))
+    return FDSCurve(fractions=fracs, variances=tuple(float(v) for v in pvs),
+                    n_samples=n_samples, seed=seed)
 
 
 def support_pair_rules(m: int, runs) -> list[tuple[int, str]]:

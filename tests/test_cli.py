@@ -10,6 +10,7 @@ import pytest
 from oamix.catalog import czitrom_d_oofa, component_amount_projection_design
 from oamix.cli import main
 from oamix.core import BlockedDesign, Run
+from oamix.evaluate import FDS_SAMPLER
 from oamix.serialize import parse_design_csv, write_design_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -263,8 +264,11 @@ def test_fds_outputs_are_deterministic(tmp_path, capsys):
     t3 = catalog_file(tmp_path, "czitrom-d-oofa")
     b1, b2 = tmp_path / "c1", tmp_path / "c2"
     for b in (b1, b2):
+        capsys.readouterr()
         assert run_cli("fds", "-i", str(t3), "--model", "scheffe-q",
                        "--samples", "100", "--seed", "7", "-o", str(b)) == 0
+        assert (f"seed=7  sampler={FDS_SAMPLER}  median="
+                in capsys.readouterr().out)
     assert (tmp_path / "c1.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
     assert (tmp_path / "c1.svg").read_text().startswith("<svg")
 

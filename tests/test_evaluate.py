@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import mc_t_test_power
+from _oracles import fds_curve_per_sample, mc_t_test_power
 from oamix.catalog import (aggarwal_a_oofa, aggarwal_a_optimal,
                            component_amount_projection_design,
                            czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
@@ -16,12 +16,14 @@ from oamix.core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec, Run
 from oamix.errors import (InsufficientDF, NothingToCheck, SingularMatrix,
                           Unsupported)
 from oamix.evaluate import _CHUNK as CHUNK
-from oamix.evaluate import (check_orthogonal_blocking, criteria_report,
+from oamix.evaluate import (FDS_SAMPLER, _pwo_table,
+                            check_orthogonal_blocking, criteria_report,
                             fds_curve, power_table, term_r_squared)
 from oamix.fit import ols_fit, predict
 from oamix.modelmat import (build_model_matrix, coded_model_matrix,
                             column_names, default_interaction_subset,
                             full_interaction_set)
+from oamix.pwo import pwo_from_run
 
 # two-sided t-test power at se=0.5, sigma=1, effect 2 sigma, df=3, alpha 5%
 POWER_SE_HALF_DF3 = 0.754984
@@ -431,9 +433,64 @@ def test_fds_amount_design_uses_design_levels():
     assert all(v > 0 for v in curve.variances)
 
 
-def test_fds_rejects_bad_sample_count():
+@pytest.mark.parametrize("n", [0, -3, 10.5, True, 10.0, "10", None])
+def test_fds_rejects_bad_sample_count(n):
+    with pytest.raises(Unsupported, match=re.escape(repr(n))):
+        fds_curve(czitrom_d_oofa(), scheffe_spec(), n)
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "7", None])
+def test_fds_rejects_bad_seed(seed):
+    with pytest.raises(Unsupported, match=re.escape(repr(seed))):
+        fds_curve(czitrom_d_oofa(), scheffe_spec(), 10, seed)
+
+
+def test_fds_accepts_numpy_integers():
+    want = fds_curve(czitrom_d_oofa(), scheffe_spec(), 20, -1)
+    assert fds_curve(czitrom_d_oofa(), scheffe_spec(), np.int64(20),
+                     np.int64(-1)) == want
+
+
+def lattice_5_2_oofa():
+    """The {5, 2} simplex lattice in each of 2 blocks, expanded: 50 runs."""
+    eye = np.eye(5)
+    points = [*eye, *((eye[j] + eye[k]) / 2
+                      for j, k in itertools.combinations(range(5), 2))]
+    block = [1] * len(points) + [2] * len(points)
+    return oofa_expand(BlockedDesign.from_arrays(
+        5, "proportion", np.array(points * 2), np.zeros((len(block), 10)),
+        block, None, 2))
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("seed", [0, 42, -1, 2 ** 64 + 3])
+@pytest.mark.parametrize("design,spec", [
+    (czitrom_d_oofa(), scheffe_spec()),
+    (component_amount_projection_design(100.0), CA_SPEC),
+    (lattice_5_2_oofa(), ModelSpec("scheffe_quadratic", include_pwo=True,
+                                   include_block=True)),
+], ids=["czitrom-d-oofa/scheffe-q", "ca-projection@100/ca-q",
+        "lattice-5-2/scheffe-q"])
+def test_fds_curve_matches_per_sample_oracle(design, spec, seed, n):
+    # the array passes after the draw loop keep the stream bit for bit
+    curve = fds_curve(design, spec, n, seed)
+    assert curve == fds_curve_per_sample(design, spec, n, seed)
+    assert curve.sampler == FDS_SAMPLER
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_pwo_table_lists_every_full_order(m):
+    table = _pwo_table(m)
+    perms = list(itertools.permutations(range(1, m + 1)))
+    assert table.shape == (len(perms), m * (m - 1) // 2)
+    full = (1.0,) * m
+    for row, perm in zip(table, perms):
+        assert tuple(row) == pwo_from_run(full, perm)
+    assert len({tuple(row) for row in table}) == len(perms)
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        fds_curve(czitrom_d_oofa(), scheffe_spec(), 0)
+        table[0, 0] = 0.0
+    assert _pwo_table(m) is table
 
 
 def test_power_single_column_matches_monte_carlo():
