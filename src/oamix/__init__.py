@@ -27,7 +27,7 @@ _SOURCES = {
                      "column_names", "default_interaction_subset",
                      "full_interaction_set"), "modelmat"),
     **dict.fromkeys(("enumerate_orderings", "permutation_from_pwo",
-                     "pwo_from_permutation", "pwo_from_run"), "pwo"),
+                     "pwo_from_permutation"), "pwo"),
     **dict.fromkeys(("parse_design_csv", "write_design_csv",
                      "write_fds_outputs"), "serialize"),
     "errors": "errors",  # the submodule itself

@@ -15,15 +15,14 @@ catalog is oofa_expand of an unordered base design.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
 import numpy as np
 
-from .core import BlockedDesign, _incidence
+from .core import BlockedDesign
 from .errors import AlreadyExpanded, EmptySupport, InvalidAmount
-from .pwo import enumerate_orderings, permutation_from_pwo
+from .pwo import _expand
 
 _CENTROID = (0.333, 0.333, 0.334)
 
@@ -93,19 +92,6 @@ def aggarwal_a_oofa() -> BlockedDesign:
     return oofa_expand(aggarwal_a_optimal())
 
 
-@functools.lru_cache
-def _rank_orders(s: int) -> np.ndarray:
-    """Addition step (column) of each value rank of an s-component support,
-    one row per ordering in enumerate_orderings order: a read-only (s!, s)
-    int8 table."""
-    ranks = range(1, s + 1)
-    orders = [permutation_from_pwo(z, ranks, s)
-              for z in enumerate_orderings(ranks)]
-    table = np.argsort(np.array(orders), axis=1).astype(np.int8)
-    table.flags.writeable = False
-    return table
-
-
 def oofa_expand(base: BlockedDesign) -> BlockedDesign:
     """Replace each run of an unordered design by one run per addition order.
 
@@ -121,32 +107,13 @@ def oofa_expand(base: BlockedDesign) -> BlockedDesign:
         idx = int(ordered[0])
         raise AlreadyExpanded(f"run {idx + 1} already carries an ordering "
                               f"{tuple(base.pwo[idx].tolist())}")
-    m = base.m
-    support = base.values > 0
-    size = support.sum(axis=1)
-    empty = np.flatnonzero(size == 0)
+    empty = np.flatnonzero(~(base.values > 0).any(axis=1))
     if empty.size:
         raise EmptySupport(f"run {int(empty[0]) + 1}: all component values "
                            "are zero")
-    per_run = np.cumprod([1, *range(1, m + 1)])[size]
-    rep = np.repeat(np.arange(base.n), per_run)
-    within = np.arange(len(rep)) - (np.cumsum(per_run) - per_run)[rep]
-    # components by increasing value, ties by index: absent ones sort first,
-    # so the last s columns are a run's support ranks 1..s
-    by_value = np.argsort(base.values, axis=1, kind="stable")[rep]
-    # each output row's addition step per component; int8 keeps the pair
-    # differences below cheap
-    step = np.zeros((len(rep), m), dtype=np.int8)
-    size_out = size[rep]
-    for s in sorted(set(size.tolist())):
-        rows = np.flatnonzero(size_out == s)
-        table = _rank_orders(s)
-        step[rows[:, None], by_value[rows, m - s:]] = table[within[rows]]
-    J, K = _incidence(m)[:2]
-    on = support[rep]
-    pwo = np.sign(step[:, K] - step[:, J]) * (on[:, J] & on[:, K])
+    rep, pwo = _expand(base.values)
     return BlockedDesign.from_arrays(
-        m, base.kind, base.values[rep], pwo, base.block[rep],
+        base.m, base.kind, base.values[rep], pwo, base.block[rep],
         base.amount[rep], n_blocks=base.n_blocks, as_printed=base.as_printed)
 
 

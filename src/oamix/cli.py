@@ -114,9 +114,10 @@ def _seed_from_args(args) -> int:
 def _cmd_catalog(args) -> int:
     from .serialize import write_design_csv
     if args.name == "ca-projection":
-        design = cat.CATALOG[args.name](args.a_max)
+        design = cat.CATALOG[args.name](
+            1.0 if args.a_max is None else args.a_max)
     else:
-        if args.a_max != 1.0:
+        if args.a_max is not None:
             print(f"error: --a-max applies only to ca-projection",
                   file=sys.stderr)
             return 2
@@ -300,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="write a built-in design to CSV")
     p.add_argument("name", choices=sorted(cat.CATALOG))
-    p.add_argument("--a-max", type=float, default=1.0,
-                   help="total-amount scale for ca-projection")
+    p.add_argument("--a-max", type=float,
+                   help="total-amount scale for ca-projection (default 1)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_catalog)
 

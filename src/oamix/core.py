@@ -65,10 +65,6 @@ def pair_indices(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, k) for j in range(1, m) for k in range(j + 1, m + 1))
 
 
-def n_pairs(m: int) -> int:
-    return m * (m - 1) // 2
-
-
 @dataclass(frozen=True)
 class Run:
     """One experimental run.
@@ -88,11 +84,6 @@ class Run:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         object.__setattr__(self, "pwo", tuple(map(int, self.pwo)))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """1-based indices of the strictly positive components."""
-        return tuple(i + 1 for i, v in enumerate(self.values) if v > 0)
 
 
 @dataclass(frozen=True, init=False, eq=False)

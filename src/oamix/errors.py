@@ -27,7 +27,8 @@ class SupportMismatch(OamixError):
 
 
 class InconsistentPWO(OamixError):
-    """A PWO vector encodes a cyclic (intransitive) precedence pattern."""
+    """A PWO vector encodes no order: an entry outside {-1, 0, +1}, or a
+    cyclic (intransitive) precedence pattern."""
 
 
 class EmptySupport(OamixError):

@@ -28,7 +28,7 @@ from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec
 from .errors import InsufficientDF, NothingToCheck, SchemaError, Unsupported
 from .linalg import _point_variances, det_xtx, log_det_xtx
 from .modelmat import _terms, build_model_matrix, model_rows
-from .pwo import pwo_from_permutation
+from .pwo import _rows
 
 _MASK64 = (1 << 64) - 1
 # FDS samples turned into model rows and variances per batch; bounds the
@@ -220,8 +220,8 @@ def _is_integer(v) -> bool:
 def _pwo_table(m: int) -> np.ndarray:
     """Read-only (m!, pairs) PWO rows of every full addition order, row i
     for the i-th order of itertools.permutations(1..m)."""
-    table = np.array([pwo_from_permutation(p, m) for p in
-                      itertools.permutations(range(1, m + 1))], dtype=float)
+    steps = np.argsort(list(itertools.permutations(range(m))), axis=1)
+    table = _rows(steps, np.ones_like(steps, dtype=bool)).astype(float)
     table.flags.writeable = False
     return table
 

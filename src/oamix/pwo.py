@@ -2,99 +2,124 @@
 
 For a pair (j, k) with j < k the PWO value z_jk is +1 when j enters the
 blend before k, -1 when k enters first, and 0 when either component is
-absent from the blend (value 0). A run's ordering therefore only ranges
-over its support, the set of strictly positive components.
+absent from the blend. A run's ordering therefore only ranges over its
+support, the set of strictly positive components (a zero, negative or NaN
+component is absent).
+
+This module is the library's one encoder: every PWO row, of one order or of
+a whole expanded design, comes from _rows, which reads a step table (the
+addition step of each component) and a support mask. _listing fixes the
+order in which a support's orderings are listed, and _expand lists them for
+every run of a design at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Sequence
 
-from .core import pair_indices
+import numpy as np
+
+from .core import _incidence, pair_indices
 from .errors import (EmptySupport, InconsistentPWO, InvalidPermutation,
                      SupportMismatch)
 
 
-def _positions(perm: Sequence[int]) -> dict[int, int]:
-    order = tuple(perm)
-    pos = {e: i for i, e in enumerate(order)}
-    if len(pos) != len(order):
-        raise InvalidPermutation(f"duplicate elements in {order}")
-    return pos
+def _rows(step: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """PWO rows of an (n, m) step table: z_jk = sign(step_k - step_j) where
+    components j and k are both on (an (n, m) bool mask), else 0."""
+    J, K = _incidence(step.shape[1])[:2]
+    return np.sign(step[:, K] - step[:, J]) * (on[:, J] & on[:, K])
+
+
+@functools.lru_cache
+def _listing(s: int) -> np.ndarray:
+    """Read-only (s!, s) int8 table of the addition step of each rank of an
+    s-component support, one row per ordering, in descending lexicographic
+    order of the orderings' PWO rows over those ranks."""
+    steps = np.argsort(list(itertools.permutations(range(s))), axis=1)
+    rows = _rows(steps, np.ones_like(steps, dtype=bool)).tolist()
+    listed = sorted(range(len(rows)), key=rows.__getitem__, reverse=True)
+    table = steps[listed].astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
+def _expand(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordering of every run's support, run by run: (rep, pwo), where
+    output row i is run rep[i] with PWO row pwo[i]. A run's support is
+    ranked by increasing value (ties by index) and its orderings follow
+    _listing; a run with s positive components gets s! rows."""
+    m = values.shape[1]
+    on = values > 0
+    size = on.sum(axis=1)
+    per_run = np.cumprod([1, *range(1, m + 1)])[size]
+    rep = np.repeat(np.arange(len(values)), per_run)
+    within = np.arange(len(rep)) - (np.cumsum(per_run) - per_run)[rep]
+    # absent components rank below the support, so the last s columns are
+    # a run's support ranks 1..s
+    by_value = np.argsort(np.where(on, values, -np.inf), axis=1,
+                          kind="stable")[rep]
+    # int8 keeps the pair differences in _rows cheap
+    step = np.zeros((len(rep), m), dtype=np.int8)
+    size_out = size[rep]
+    for s in sorted(set(size.tolist())):
+        rows = np.flatnonzero(size_out == s)
+        step[rows[:, None], by_value[rows, m - s:]] = _listing(s)[within[rows]]
+    return rep, _rows(step, on[rep])
 
 
 def pwo_from_permutation(perm: Sequence[int], m: int) -> tuple[int, ...]:
     """PWO vector of a full addition order on all m components; no zeros."""
-    pos = _positions(perm)
-    if set(pos) != set(range(1, m + 1)):
+    order = tuple(perm)
+    if sorted(order) != list(range(1, m + 1)):
         raise InvalidPermutation(
-            f"expected a permutation of 1..{m}, got {tuple(perm)}")
-    return tuple(1 if pos[j] < pos[k] else -1 for j, k in pair_indices(m))
-
-
-def pwo_from_run(values: Sequence[float],
-                 perm: Sequence[int]) -> tuple[int, ...]:
-    """PWO vector of an ordering over a run's support.
-
-    Pairs touching an absent component get 0; support pairs get +/-1 by
-    precedence in perm. perm must cover exactly the positive components.
-    """
-    m = len(values)
-    support = {i for i in range(1, m + 1) if values[i - 1] > 0}
-    pos = _positions(perm)
-    if set(pos) != support:
-        raise SupportMismatch(
-            f"ordering {tuple(perm)} does not match support {sorted(support)}")
-    out = []
-    for j, k in pair_indices(m):
-        if j not in support or k not in support:
-            out.append(0)
-        else:
-            out.append(1 if pos[j] < pos[k] else -1)
-    return tuple(out)
+            f"expected a permutation of 1..{m}, got {order}")
+    step = np.argsort(order)[None]
+    return tuple(_rows(step, np.ones_like(step, dtype=bool))[0].tolist())
 
 
 def permutation_from_pwo(pwo: Sequence[int], support: Iterable[int],
                          m: int | None = None) -> tuple[int, ...]:
     """Recover the unique addition order encoded by a PWO vector.
 
-    Uses counting sort on precedence out-degrees: a transitive pattern on s
-    elements has out-degrees exactly {s-1, ..., 1, 0}; anything else is
-    cyclic. m defaults to the pair count implied by len(pwo).
+    Ranks the support by precedence out-degree, then accepts that order
+    only if it encodes back to pwo. Refuses an entry outside {-1, 0, +1}
+    and a cyclic pattern (InconsistentPWO), and a support member outside
+    1..m, a zero support pair or a nonzero pair off the support
+    (SupportMismatch). m defaults to the pair count implied by len(pwo).
     """
-    support_set = set(int(i) for i in support)
+    z = np.array(pwo).reshape(-1)
     if m is None:
-        # len(pwo) = m(m-1)/2
-        m = 1
-        while m * (m - 1) // 2 < len(pwo):
-            m += 1
+        m = round((1 + (1 + 8 * len(z)) ** 0.5) / 2)
     pairs = pair_indices(m)
-    if len(pwo) != len(pairs):
+    if len(z) != len(pairs):
+        raise SupportMismatch(f"pwo length {len(z)} does not match m={m}")
+    members = sorted({int(i) for i in support})
+    if members and not 1 <= members[0] <= members[-1] <= m:
+        raise SupportMismatch(f"support {members} is not within 1..{m}")
+    on = np.zeros((1, m), dtype=bool)
+    on[0, np.array(members, dtype=np.intp) - 1] = True
+    J, K, first, second = _incidence(m)
+    pair_on = on[0, J] & on[0, K]
+    unit = (z == -1) | (z == 0) | (z == 1)
+    for q in np.flatnonzero(~unit | (pair_on == (z == 0))):
+        (j, k), zq = pairs[q], z[q].item()
+        if not unit[q]:
+            raise InconsistentPWO(f"z{j}{k} = {zq} is not in {{-1,0,+1}}")
         raise SupportMismatch(
-            f"pwo length {len(pwo)} does not match m={m}")
-
-    wins = {i: 0 for i in support_set}
-    for (j, k), z in zip(pairs, pwo):
-        in_support = j in support_set and k in support_set
-        if in_support:
-            if z == 0:
-                raise SupportMismatch(
-                    f"z{j}{k} = 0 but both components are in the support")
-            if z > 0:
-                wins[j] += 1
-            else:
-                wins[k] += 1
-        elif z != 0:
-            raise SupportMismatch(
-                f"z{j}{k} = {z:+d} but the pair touches an absent component")
-
-    s = len(support_set)
-    by_wins = sorted(support_set, key=lambda i: (-wins[i], i))
-    if sorted(wins.values(), reverse=True) != list(range(s - 1, -1, -1)):
+            f"z{j}{k} = 0 but both components are in the support" if zq == 0
+            else f"z{j}{k} = {zq:+g} but the pair touches an absent component")
+    wins = (z > 0) @ first + (z < 0) @ second
+    order = sorted(members, key=lambda i: (-wins[i - 1], i))
+    step = np.zeros((1, m), dtype=np.intp)
+    step[0, np.array(order, dtype=np.intp) - 1] = np.arange(len(order))
+    if not np.array_equal(_rows(step, on)[0], z):
+        degrees = {i: int(wins[i - 1]) for i in members}
         raise InconsistentPWO(
-            f"precedence out-degrees {wins} do not form a total order")
-    return tuple(by_wins)
+            f"precedence out-degrees {degrees} do not form a total order")
+    return tuple(order)
 
 
 def enumerate_orderings(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:
@@ -107,12 +132,7 @@ def enumerate_orderings(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:
     a full 3-component support whose values increase with index lists
     (1,1,1), (1,1,-1), (1,-1,-1), (-1,1,1), (-1,-1,1), (-1,-1,-1).
     """
-    support = [i for i in range(1, len(values) + 1) if values[i - 1] > 0]
-    if not support:
+    v = np.array(values, dtype=float).reshape(1, -1)
+    if not (v > 0).any():
         raise EmptySupport("all component values are zero")
-    by_value = sorted(support, key=lambda i: (values[i - 1], i))
-    s = len(by_value)
-    ranked = sorted(itertools.permutations(range(1, s + 1)),
-                    key=lambda p: pwo_from_permutation(p, s), reverse=True)
-    return tuple(pwo_from_run(values, [by_value[r - 1] for r in p])
-                 for p in ranked)
+    return tuple(map(tuple, _expand(v)[1].tolist()))

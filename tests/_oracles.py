@@ -7,7 +7,9 @@ objects one at a time, the way the library did before designs were held
 as columns. The design-file reader converts one cell at a time with
 float(), the way the library did before it read files with np.loadtxt.
 The FDS oracle is the sampler's per-sample loop; it shares the library's
-model rows and inverse, so it checks the sampler alone.
+model rows and inverse, so it checks the sampler alone. The PWO oracles
+(pwo_from_run, listed_orderings) encode one pair at a time with Python
+loops and share no code with the library's encoder in oamix.pwo.
 """
 
 from __future__ import annotations
@@ -22,19 +24,63 @@ import numpy as np
 
 from oamix.core import (AMOUNT_SUM_TOL, AS_PRINTED_SUM_TOL, FAMILIES,
                         PROPORTION_SUM_TOL, BlockedDesign, Run, Violation,
-                        n_pairs, pair_indices, validate_columns)
-from oamix.errors import EmptyDesign, InvalidDesign, SchemaError
+                        pair_indices, validate_columns)
+from oamix.errors import (EmptyDesign, EmptySupport, InvalidDesign,
+                          InvalidPermutation, SchemaError, SupportMismatch)
 from oamix.evaluate import _CHUNK, _MASK64, FDSCurve
 from oamix.modelmat import build_model_matrix, model_rows
-from oamix.pwo import enumerate_orderings, pwo_from_run
 from oamix.serialize import _header, fmt_num
+
+
+def _positions(perm) -> dict[int, int]:
+    order = tuple(perm)
+    pos = {e: i for i, e in enumerate(order)}
+    if len(pos) != len(order):
+        raise InvalidPermutation(f"duplicate elements in {order}")
+    return pos
+
+
+def pwo_from_run(values, perm) -> tuple[int, ...]:
+    """PWO vector of an ordering over a run's support.
+
+    Pairs touching an absent component get 0; support pairs get +/-1 by
+    precedence in perm. perm must cover exactly the positive components.
+    """
+    m = len(values)
+    support = {i for i in range(1, m + 1) if values[i - 1] > 0}
+    pos = _positions(perm)
+    if set(pos) != support:
+        raise SupportMismatch(
+            f"ordering {tuple(perm)} does not match support {sorted(support)}")
+    out = []
+    for j, k in pair_indices(m):
+        if j not in support or k not in support:
+            out.append(0)
+        else:
+            out.append(1 if pos[j] < pos[k] else -1)
+    return tuple(out)
+
+
+def listed_orderings(values) -> tuple[tuple[int, ...], ...]:
+    """A run's PWO vectors in listing order: the support relabelled 1..s by
+    increasing value (ties by index), the orderings in descending
+    lexicographic order of their PWO vectors over those labels."""
+    support = [i for i in range(1, len(values) + 1) if values[i - 1] > 0]
+    if not support:
+        raise EmptySupport("all component values are zero")
+    by_value = sorted(support, key=lambda i: (values[i - 1], i))
+    s = len(by_value)
+    ranked = sorted(itertools.permutations(range(1, s + 1)),
+                    key=lambda p: pwo_from_run((1.0,) * s, p), reverse=True)
+    return tuple(pwo_from_run(values, [by_value[r - 1] for r in p])
+                 for p in ranked)
 
 
 def expand_runs(runs) -> list[Run]:
     """Each run replaced by one run per addition order, in
-    enumerate_orderings order."""
+    listed_orderings order."""
     return [Run(r.values, vec, r.block, r.amount)
-            for r in runs for vec in enumerate_orderings(r.values)]
+            for r in runs for vec in listed_orderings(r.values)]
 
 
 def design_csv(m: int, kind: str, runs) -> str:
@@ -141,7 +187,7 @@ def run_violations(m: int, kind: str, runs, n_blocks: int,
     pwo_cyclic), checked run by run. A non-finite amount is reported once,
     as non_finite_value, and not compared with the value sum."""
     out: list[Violation] = []
-    npairs = n_pairs(m)
+    npairs = len(pair_indices(m))
     pairs = pair_indices(m)
     sum_tol = AS_PRINTED_SUM_TOL if as_printed else PROPORTION_SUM_TOL
 
@@ -273,7 +319,7 @@ def fds_curve_per_sample(design: BlockedDesign, spec, n_samples: int,
     for lo in range(0, n_samples, _CHUNK):
         k = min(_CHUNK, n_samples - lo)
         values = np.empty((k, m))
-        pwo = np.empty((k, n_pairs(m)))
+        pwo = np.empty((k, len(pair_indices(m))))
         block = np.empty(k, dtype=int)
         amount = np.full(k, math.nan) if use_amount else None
         for i in range(k):

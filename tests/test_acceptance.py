@@ -24,11 +24,11 @@ from oamix.linalg import det_xtx, factor
 from oamix.modelmat import (build_model_matrix, coded_model_matrix,
                             default_interaction_subset, model_rows)
 from oamix.pwo import (enumerate_orderings, permutation_from_pwo,
-                       pwo_from_permutation, pwo_from_run)
+                       pwo_from_permutation)
 from oamix.serialize import parse_design_csv, write_design_csv, \
     write_fds_outputs
 
-from _oracles import cofactor_det, cofactor_inverse
+from _oracles import cofactor_det, cofactor_inverse, pwo_from_run
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -50,9 +50,12 @@ def test_catalog_amount_round_trip(tmp_path):
 
 
 def test_catalog_rejects_a_max_elsewhere(tmp_path, capsys):
-    code = run_cli("catalog", "czitrom-d", "--a-max", "50",
-                   "-o", str(tmp_path / "x.csv"))
-    assert code == 2
+    # any explicit --a-max, the default value included
+    for a_max in ("50", "1"):
+        code = run_cli("catalog", "czitrom-d", "--a-max", a_max,
+                       "-o", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("a_max", ["inf", "1e-320"])

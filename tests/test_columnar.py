@@ -16,11 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (design_csv, expand_runs, parse_design_csv_per_cell,
-                      run_violations, support_pair_rules)
+                      pwo_from_run, run_violations, support_pair_rules)
 from oamix.catalog import oofa_expand
 from oamix.core import BlockedDesign, Run, pair_indices, validate_design
 from oamix.errors import InvalidDesign, OamixError, SchemaError
-from oamix.pwo import pwo_from_run
 from oamix.serialize import _number, parse_design_csv, write_design_csv
 
 SUPPORT_RULES = ("pwo_partial", "pwo_cyclic")

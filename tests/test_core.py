@@ -19,11 +19,6 @@ def test_run_normalizes_to_tuples():
     r = Run([0.5, 0.5], [1], block=2)
     assert r.values == (0.5, 0.5)
     assert r.pwo == (1,)
-    assert r.support == (1, 2)
-
-
-def test_run_support_skips_zeros():
-    assert Run((0.0, 0.3, 0.7), (0, 0, 1)).support == (2, 3)
 
 
 def _design(runs, kind="proportion", m=3, n_blocks=2, as_printed=False):

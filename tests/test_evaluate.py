@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import fds_curve_per_sample, mc_t_test_power
+from _oracles import fds_curve_per_sample, mc_t_test_power, pwo_from_run
 from oamix.catalog import (aggarwal_a_oofa, aggarwal_a_optimal,
                            component_amount_projection_design,
                            czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
@@ -23,7 +23,6 @@ from oamix.fit import ols_fit, predict
 from oamix.modelmat import (build_model_matrix, coded_model_matrix,
                             column_names, default_interaction_subset,
                             full_interaction_set)
-from oamix.pwo import pwo_from_run
 
 # two-sided t-test power at se=0.5, sigma=1, effect 2 sigma, df=3, alpha 5%
 POWER_SE_HALF_DF3 = 0.754984

@@ -1,12 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from _oracles import expand_runs, listed_orderings, pwo_from_run
+from oamix.catalog import oofa_expand
+from oamix.core import BlockedDesign, validate_design
 from oamix.errors import (EmptySupport, InconsistentPWO, InvalidPermutation,
                           SupportMismatch)
 from oamix.pwo import (enumerate_orderings, permutation_from_pwo,
-                       pwo_from_permutation, pwo_from_run)
+                       pwo_from_permutation)
 
 
 def test_pwo_from_permutation_worked_example():
@@ -26,6 +31,8 @@ def test_pwo_from_permutation_rejects_bad_input():
         pwo_from_permutation((1, 1, 2), 3)
 
 
+# worked examples of the pwo_from_run oracle, which the tests below encode
+# with
 def test_pwo_from_run_edge_blend():
     assert pwo_from_run((0.168, 0.832, 0), (2, 1)) == (-1, 0, 0)
     assert pwo_from_run((0.168, 0.832, 0), (1, 2)) == (1, 0, 0)
@@ -62,6 +69,20 @@ def test_permutation_from_pwo_support_errors():
         permutation_from_pwo((0, 0, 0), {1, 2, 3})  # zero on support pair
     with pytest.raises(SupportMismatch):
         permutation_from_pwo((1, 1, 1), {1, 2})  # nonzero off support
+
+
+def test_permutation_from_pwo_refuses_entries_outside_unit_range():
+    with pytest.raises(InconsistentPWO, match="z12 = 2 is not in"):
+        permutation_from_pwo((2, 1, 1), {1, 2, 3})
+    with pytest.raises(InconsistentPWO, match="z23 = -3 is not in"):
+        permutation_from_pwo((0, 0, -3), {2, 3})
+
+
+def test_permutation_from_pwo_refuses_support_outside_components():
+    with pytest.raises(SupportMismatch, match=r"not within 1\.\.3"):
+        permutation_from_pwo((1, 1, 1), {1, 2, 3, 4})
+    with pytest.raises(SupportMismatch, match=r"not within 1\.\.3"):
+        permutation_from_pwo((1, 0, 0), {0, 1, 2})
 
 
 def test_enumerate_orderings_centroid_sequence():
@@ -132,3 +153,57 @@ def test_enumeration_count_distinct_and_balanced():
     assert len(set(vectors)) == 24
     # each pair precedes equally often over all orderings
     assert np.array(vectors).sum(axis=0).tolist() == [0] * 6
+
+
+def test_non_positive_components_are_outside_the_support():
+    # a NaN or negative component is absent, as a zero one is
+    for values in ((math.nan, 0.5, 0.5), (-0.2, 0.6, 0.6), (0.0, 0.5, 0.5)):
+        assert enumerate_orderings(values) == ((0, 0, 1), (0, 0, -1))
+        base = BlockedDesign.from_arrays(3, "proportion", [values],
+                                         np.zeros((1, 3)), [1], None, 1)
+        assert oofa_expand(base).pwo.tolist() == [[0, 0, 1], [0, 0, -1]]
+
+
+@st.composite
+def unordered_designs(draw):
+    """An unordered proportion design, m 2..6, with zeros and ties among
+    its components, and at most one NaN or negative component planted."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any),
+        min_size=n, max_size=n))
+    values = np.array(weights, dtype=float)
+    values /= values.sum(axis=1, keepdims=True)
+    plant = draw(st.sampled_from([None, math.nan, -0.25]))
+    if plant is not None:
+        values[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = plant
+    assume((values > 0).any(axis=1).all())
+    blocks = [1 + i % 2 for i in range(n)]
+    return BlockedDesign.from_arrays(m, "proportion", values,
+                                     np.zeros((n, m * (m - 1) // 2)),
+                                     blocks, None, n_blocks=min(n, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unordered_designs())
+def test_expansion_matches_the_oracle_listing(base):
+    expanded = oofa_expand(base)
+    oracle = expand_runs(base.runs)
+    assert expanded.pwo.tolist() == [list(r.pwo) for r in oracle]
+    assert np.array_equal(expanded.values, [r.values for r in oracle],
+                          equal_nan=True)
+    assert expanded.block.tolist() == [r.block for r in oracle]
+    for values in base.values.tolist():
+        assert enumerate_orderings(values) == listed_orderings(values)
+    # every run expanded from a clean base run is valid; the planted value
+    # is reported on the copies of its own run
+    clean = np.isfinite(expanded.values).all(axis=1) & \
+        (expanded.values >= 0).all(axis=1)
+    violations = validate_design(expanded)
+    assert bool(violations) != clean.all()
+    assert not any(clean[v.run_index] for v in violations)
+    for values, row in zip(expanded.values.tolist(), expanded.pwo.tolist()):
+        support = [i for i, v in enumerate(values, start=1) if v > 0]
+        order = permutation_from_pwo(row, support, base.m)
+        assert pwo_from_run(values, order) == tuple(row)
