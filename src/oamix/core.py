@@ -299,7 +299,7 @@ def validate_design(design: BlockedDesign) -> list[Violation]:
                             design.block, design.amount)
 
 
-def _support_pair_rules(add, Z, zero, on, ordered, bad, first, second):
+def _support_pair_rules(add, Z, absent, on, ordered, bad, first, second):
     """pwo_partial and pwo_cyclic for the runs with no out-of-range entry:
     a run's support pairs (on) are all 0 or all ordered, and then the
     precedence out-degrees of its support components are {s-1, ..., 0}."""
@@ -312,11 +312,11 @@ def _support_pair_rules(add, Z, zero, on, ordered, bad, first, second):
     wins = ((Z > 0) & on) @ first + ((Z < 0) & on) @ second
     # s out-degrees in 0..s-1 summing to s(s-1)/2 are {s-1, ..., 0} iff
     # they are distinct; absent components get distinct negative fillers
-    m = zero.shape[1]
-    degrees = np.sort(np.where(zero, -1 - np.arange(m), wins), axis=1)
+    m = absent.shape[1]
+    degrees = np.sort(np.where(absent, -1 - np.arange(m), wins), axis=1)
 
     def message(r, _):
-        support = np.flatnonzero(~zero[r])
+        support = np.flatnonzero(~absent[r])
         degs = dict(zip((support + 1).tolist(), wins[r, support].tolist()))
         return f"precedence out-degrees {degs} do not form a total order"
 
@@ -332,7 +332,8 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
     pwo and block may be any numeric type. has_amount marks the runs that
     were given an amount (default: those not NaN), so that a given NaN is
     reported as non-finite rather than read as absent. A run's support
-    pairs are those whose components are both nonzero; they must be all 0
+    pairs are those whose components are both positive (a zero, negative
+    or NaN component is absent, as in oamix.pwo); they must be all 0
     (unordered) or all +/-1 with precedence out-degrees {s-1, ..., 0}.
     """
     V = np.asarray(values, dtype=float)
@@ -374,17 +375,22 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
             add(2, "pwo_entry_range", bad,
                 lambda r, q: f"z{pairs[q][0]}{pairs[q][1]} = {int(Z[r, q])} "
                              "not in {-1,0,+1}")
-            zero = V == 0
-            off = zero[:, J] | zero[:, K]
+            absent = ~(V > 0)  # the support rule of pwo.py; NaN is absent
+            off = absent[:, J] | absent[:, K]
             ordered = (Z != 0) & ~bad
+
+            def absent_message(r, q):
+                j, k = pairs[q]
+                c = j if absent[r, J[q]] else k
+                v = float(V[r, c - 1])
+                return (f"z{j}{k} = {int(Z[r, q]):+d} but component {c} is "
+                        + ("0" if v == 0 else f"not positive ({v})"))
+
             add(2, "pwo_nonzero_for_zero_component", ordered & off,
-                lambda r, q: f"z{pairs[q][0]}{pairs[q][1]} = "
-                             f"{int(Z[r, q]):+d} but component "
-                             f"{pairs[q][0] if zero[r, J[q]] else pairs[q][1]}"
-                             " is 0")
+                absent_message)
             on = ~off
             if (ordered & on).any():
-                _support_pair_rules(add, Z, zero, on, ordered, bad, first,
+                _support_pair_rules(add, Z, absent, on, ordered, bad, first,
                                     second)
         s = np.zeros(n)
         for i in range(V.shape[1]):

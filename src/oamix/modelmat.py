@@ -8,9 +8,9 @@ column coded -1 (block 1) / +1 (block 2). One column cannot separate more
 than two blocks, so requesting it for such a design raises Unsupported.
 
 One term table per (spec, m), assembled from the family's record in
-core.FAMILIES, pairs each column name with its blocking condition and a
-builder over the run arrays; column names, matrices, model_rows and the
-blocking check all come from it.
+core.FAMILIES and cached (ModelSpec is frozen), pairs each column name with
+its blocking condition and a builder over the run arrays; column names,
+matrices, model_rows and the blocking check all come from it.
 
 Two bases are available. build_model_matrix uses the run values exactly as
 stored. coded_model_matrix first maps every component affinely onto [-1, 1]
@@ -59,6 +59,7 @@ def full_interaction_set(m: int) -> tuple[tuple[int, tuple[int, int]], ...]:
     return tuple((i, (j, k)) for j, k in pair_indices(m) for i in (j, k))
 
 
+@functools.lru_cache
 def _terms(spec: ModelSpec,
            m: int) -> tuple[tuple[str, str | None, Callable], ...]:
     """The term table: one (column name, condition, builder) entry per column.

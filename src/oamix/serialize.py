@@ -73,14 +73,15 @@ def write_design_csv(design: BlockedDesign) -> str:
         raise InvalidDesign([v for v in validate_design(design)
                              if v.rule == "non_finite_value"])
     with_amount = not np.isnan(design.amount).all()
-    header = ",".join(_header(design.m, design.kind, with_amount)) + "\n"
-    columns = [_formatted(design.values, fmt_num), _INT8_CELLS[design.pwo],
-               _formatted(design.block, str)[:, None]]
+    run = np.array([*map(str, range(1, design.n + 1))], dtype=object)
+    columns = [run[:, None], _formatted(design.values, fmt_num),
+               _INT8_CELLS[design.pwo], _formatted(design.block, str)[:, None]]
     if with_amount:
         columns.append(_formatted(
             design.amount, lambda a: "" if math.isnan(a) else fmt_num(a))[:, None])
-    rows = map(",".join, np.hstack(columns).tolist())
-    return header + "".join(f"{i},{row}\n" for i, row in enumerate(rows, 1))
+    rows = [_header(design.m, design.kind, with_amount),
+            *np.hstack(columns).tolist()]
+    return "\n".join(map(",".join, rows)) + "\n"
 
 
 def _number(cell: str) -> float:
@@ -180,12 +181,20 @@ def parse_design_csv(text: str) -> BlockedDesign:
     width = len(header)
     k = m + npairs + 1  # components, pairs and block; then A if present
     # one pass over every cell, then the checks on the whole array; the
-    # line is looked for only when a check fails
+    # line is looked for only when a check fails. The `A` column is read
+    # by numpy too, which refuses an empty cell: only then is the file read
+    # again with the per-cell _amount, which reads it as no amount
+    def read(converters=None):
+        return np.loadtxt(io.StringIO(data), delimiter=",",
+                          usecols=range(1, width), ndmin=2, comments=None,
+                          quotechar='"', converters=converters)
     try:
-        F = np.loadtxt(io.StringIO(data), delimiter=",",
-                       usecols=range(1, width), ndmin=2, comments=None,
-                       quotechar='"', converters=(
-                           {width - 1: _amount} if with_amount else None))
+        try:
+            F = read()
+        except ValueError:
+            if not with_amount:
+                raise
+            F = read({width - 1: _amount})
     except ValueError as e:
         _refuse_first_bad_line(data, m, npairs, with_amount)
         raise SchemaError(f"unreadable design data: {e}") from None

@@ -1,13 +1,16 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's own linear-algebra kernel so that
-agreement between the two is evidence, not tautology. The per-run design
-oracles (expansion, CSV writing, structural validation) loop over Run
-objects one at a time, the way the library did before designs were held
-as columns. The design-file reader converts one cell at a time with
-float(), the way the library did before it read files with np.loadtxt.
-The FDS oracle is the sampler's per-sample loop; it shares the library's
-model rows and inverse, so it checks the sampler alone. The PWO oracles
+agreement between the two is evidence, not tautology; direct_factor is the
+kernel's recipe with one QR call over the whole matrix in place of the
+kernel's row blocks. The per-run design oracles (expansion, CSV writing,
+structural validation) loop over Run objects one at a time, the way the
+library did before designs were held as columns. The design-file reader
+converts one cell at a time with float(), the way the library did before
+it read files with np.loadtxt, and design_csv_per_row is the columnar
+writer before it joined the run number in as a cell. The FDS oracle is
+the sampler's per-sample loop; it shares the library's model rows and
+inverse, so it checks the sampler alone. The PWO oracles
 (pwo_from_run, listed_orderings) encode one pair at a time with Python
 loops and share no code with the library's encoder in oamix.pwo.
 """
@@ -26,10 +29,11 @@ from oamix.core import (AMOUNT_SUM_TOL, AS_PRINTED_SUM_TOL, FAMILIES,
                         PROPORTION_SUM_TOL, BlockedDesign, Run, Violation,
                         pair_indices, validate_columns)
 from oamix.errors import (EmptyDesign, EmptySupport, InvalidDesign,
-                          InvalidPermutation, SchemaError, SupportMismatch)
+                          InvalidPermutation, SchemaError, SingularMatrix,
+                          SupportMismatch)
 from oamix.evaluate import _CHUNK, _MASK64, FDSCurve
 from oamix.modelmat import build_model_matrix, model_rows
-from oamix.serialize import _header, fmt_num
+from oamix.serialize import _INT8_CELLS, _formatted, _header, fmt_num
 
 
 def _positions(perm) -> dict[int, int]:
@@ -98,6 +102,20 @@ def design_csv(m: int, kind: str, runs) -> str:
             row.append(fmt_num(run.amount) if run.amount is not None else "")
         w.writerow(row)
     return out.getvalue()
+
+
+def design_csv_per_row(design: BlockedDesign) -> str:
+    """The design file as the columnar writer first wrote it: every cell
+    formatted per column, then one f-string per row for the run number."""
+    with_amount = not np.isnan(design.amount).all()
+    header = ",".join(_header(design.m, design.kind, with_amount)) + "\n"
+    columns = [_formatted(design.values, fmt_num), _INT8_CELLS[design.pwo],
+               _formatted(design.block, str)[:, None]]
+    if with_amount:
+        columns.append(_formatted(
+            design.amount, lambda a: "" if math.isnan(a) else fmt_num(a))[:, None])
+    rows = map(",".join, np.hstack(columns).tolist())
+    return header + "".join(f"{i},{row}\n" for i, row in enumerate(rows, 1))
 
 
 def _integer(cell: str) -> int:
@@ -223,12 +241,14 @@ def run_violations(m: int, kind: str, runs, n_blocks: int,
                 if z not in (-1, 0, 1):
                     out.append(Violation(idx, "pwo_entry_range",
                                          f"z{j}{k} = {z} not in {{-1,0,+1}}"))
-                elif z != 0 and (run.values[j - 1] == 0
-                                 or run.values[k - 1] == 0):
+                elif z != 0 and not (run.values[j - 1] > 0
+                                     and run.values[k - 1] > 0):
+                    c = k if run.values[j - 1] > 0 else j
+                    v = run.values[c - 1]
                     out.append(Violation(
                         idx, "pwo_nonzero_for_zero_component",
-                        f"z{j}{k} = {z:+d} but component "
-                        f"{j if run.values[j - 1] == 0 else k} is 0"))
+                        f"z{j}{k} = {z:+d} but component {c} is "
+                        + ("0" if v == 0 else f"not positive ({v})")))
         if kind == "proportion":
             s = sum(run.values)
             if abs(s - 1.0) > sum_tol:
@@ -256,6 +276,27 @@ def run_violations(m: int, kind: str, runs, n_blocks: int,
         if b not in seen_blocks:
             out.append(Violation(None, "empty_block", f"block {b} has no runs"))
     return out
+
+
+def direct_factor(X) -> tuple[np.ndarray, np.ndarray]:
+    """(s, (X'X)^-1) from one np.linalg.qr of the whole equilibrated
+    matrix Xs = X D^-1, s being the singular values of Xs. A rank below p
+    raises SingularMatrix naming each column whose prefix of R gains no
+    rank above s_max * max(n, p) * eps."""
+    X = np.asarray(X, dtype=float)
+    p = X.shape[1]
+    norms = np.linalg.norm(X, axis=0)
+    norms[norms == 0] = 1.0
+    R = np.linalg.qr(X / norms, mode="r")
+    _, s, Vt = np.linalg.svd(R)
+    tol = float(s.max(initial=0.0)) * max(X.shape) * np.finfo(float).eps
+    ranks = [0] + [np.linalg.matrix_rank(R[:k, :k], tol=tol)
+                   for k in range(1, p + 1)]
+    if ranks[-1] < p:
+        raise SingularMatrix("rank deficient", offending=tuple(
+            k for k in range(p) if ranks[k + 1] == ranks[k]))
+    W = Vt.T / s / norms[:, None]
+    return s, W @ W.T
 
 
 def cofactor_det(M: np.ndarray) -> float:
@@ -343,7 +384,7 @@ def fds_curve_per_sample(design: BlockedDesign, spec, n_samples: int,
 
 def support_pair_rules(m: int, runs) -> list[tuple[int, str]]:
     """(run index, rule) for pwo_partial and pwo_cyclic, from
-    permutation_from_pwo over each run's nonzero components; runs with a
+    permutation_from_pwo over each run's positive components; runs with a
     pwo entry outside {-1, 0, +1} are not judged."""
     from oamix.errors import InconsistentPWO
     from oamix.pwo import permutation_from_pwo
@@ -352,7 +393,9 @@ def support_pair_rules(m: int, runs) -> list[tuple[int, str]]:
     for idx, run in enumerate(runs):
         if any(z not in (-1, 0, 1) for z in run.pwo):
             continue
-        support = {i for i, v in enumerate(run.values, start=1) if v != 0}
+        # a component is in the support when it is positive: not 0, not
+        # negative and not NaN
+        support = {i for i, v in enumerate(run.values, start=1) if v > 0}
         on = [(j in support and k in support) for j, k in pair_indices(m)]
         zs = [z for z, o in zip(run.pwo, on) if o]
         if not any(zs):

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import (design_csv, expand_runs, parse_design_csv_per_cell,
-                      pwo_from_run, run_violations, support_pair_rules)
-from oamix.catalog import oofa_expand
+from _oracles import (design_csv, design_csv_per_row, expand_runs,
+                      parse_design_csv_per_cell, pwo_from_run, run_violations,
+                      support_pair_rules)
+from oamix.catalog import czitrom_d_oofa, oofa_expand
 from oamix.core import BlockedDesign, Run, pair_indices, validate_design
 from oamix.errors import InvalidDesign, OamixError, SchemaError
 from oamix.serialize import _number, parse_design_csv, write_design_csv
@@ -117,6 +118,15 @@ def test_expand_matches_run_by_run_expansion(d):
 @given(designs(plants=FINITE_PLANTS))
 def test_csv_is_byte_identical_to_the_run_by_run_writer(d):
     assert write_design_csv(d) == design_csv(d.m, d.kind, d.runs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(designs(plants=FINITE_PLANTS), st.booleans())
+def test_csv_is_byte_identical_to_the_per_row_writer(d, expand):
+    # amounts: none, on every run, or on some (an empty A cell)
+    if expand and not d.pwo.any() and (d.values > 0).any(axis=1).all():
+        d = oofa_expand(d)
+    assert write_design_csv(d) == design_csv_per_row(d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,6 +231,55 @@ def read(parse, text):
 def test_parser_matches_the_per_cell_reader(text):
     assert read(parse_design_csv, text) == \
         read(parse_design_csv_per_cell, text)
+
+
+def with_amount_cells(cells: dict[int, str], x1: str = "") -> str:
+    """czitrom-d-oofa with an `A` column of 50s, the `A` cell of each line
+    in cells replaced (the header is line 1), and x1 of line 3 if given."""
+    lines = write_design_csv(czitrom_d_oofa()).splitlines()
+    lines = [lines[0] + ",A"] + [line + ",50" for line in lines[1:]]
+    for lineno, cell in cells.items():
+        lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0] + "," + cell
+    if x1:
+        row = lines[2].split(",")
+        lines[2] = ",".join([row[0], x1, *row[2:]])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("cells, x1, want", [
+    ({3: ""}, "", None), ({3: "  "}, "", None), ({3: '""'}, "", None),
+    ({2: "", 25: ""}, "", None),
+    ({3: "nan"}, "", "amount is nan"),
+    ({3: " NaN "}, "", "amount is nan"),
+    ({3: "abc"}, "", "line 3: could not convert string to float: 'abc'"),
+    ({3: "1e"}, "", "line 3: could not convert string to float: '1e'"),
+    ({2: "", 4: "abc"}, "",
+     "line 4: could not convert string to float: 'abc'"),
+    ({2: "", 4: "abc"}, "x",
+     "line 3: could not convert string to float: 'x'"),
+])
+def test_amount_cells_read_as_the_per_cell_reader(cells, x1, want):
+    # an empty A cell sends the file through the per-cell _amount; a `nan`
+    # or a bad cell must end where that reading ends
+    text = with_amount_cells(cells, x1)
+    got = read(parse_design_csv, text)
+    assert got == read(parse_design_csv_per_cell, text)
+    if want is None:
+        absent = [lineno - 2 for lineno in cells]
+        assert got[-2] == [i in absent for i in range(24)]
+    elif want.startswith("line"):
+        assert got[:2] == (SchemaError, want)
+    else:
+        assert got[0] is InvalidDesign
+        assert [(v.run_index, v.rule, v.message) for v in got[2]] == \
+            [(1, "non_finite_value", want)]
+
+
+def test_amount_cell_with_an_underscore_is_refused_by_line():
+    # float() reads 1_0, so the per-cell reader is no reference here
+    with pytest.raises(SchemaError, match=r"^line 3: could not convert "
+                       r"string to float: '1_0'$"):
+        parse_design_csv(with_amount_cells({2: "", 3: "1_0"}))
 
 
 CELL_CHARS = "0123456789.eE+-_ \t\xa0\x0b\x0c\x1finfatyxI\u0661\uff11\u2003"

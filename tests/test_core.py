@@ -40,6 +40,21 @@ def test_validate_pwo_nonzero_for_zero_component():
     assert report[0].run_index == 0
 
 
+@pytest.mark.parametrize("value, text", [
+    (0.0, "is 0"), (-0.0, "is 0"), (-0.5, "is not positive (-0.5)"),
+    (math.nan, "is not positive (nan)")])
+def test_a_component_that_is_not_positive_is_absent(value, text):
+    runs = [Run((value, 0.5, 0.5), (1, -1, 1), 1),
+            Run((0.2, 0.3, 0.5), (1, 1, 1), 2)]
+    report = [v for v in validate_design(_design(runs))
+              if v.rule not in ("negative_value", "non_finite_value",
+                                "proportion_sum")]
+    assert [(v.run_index, v.rule) for v in report] == \
+        [(0, "pwo_nonzero_for_zero_component")] * 2
+    assert [v.message for v in report] == [
+        f"z12 = +1 but component 1 {text}", f"z13 = -1 but component 1 {text}"]
+
+
 def test_validate_amount_mismatch():
     runs = [Run((24.0, 0.0, 0.0), (0, 0, 0), 1, amount=25.0),
             Run((10.0, 10.0, 5.0), (1, 1, 1), 2, amount=25.0)]

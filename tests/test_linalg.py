@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import cofactor_det, cofactor_inverse
+from _oracles import cofactor_det, cofactor_inverse, direct_factor
 from oamix.errors import SingularMatrix
-from oamix.linalg import det_xtx, factor, lstsq
+from oamix.linalg import _BLOCK_ROWS, det_xtx, factor, lstsq
 
 
 def test_det_inv_diagonal():
@@ -126,3 +127,56 @@ def test_dependent_columns_and_rank():
         factor(np.zeros((3, 2)))
     assert exc.value.offending == (0, 1)
     assert factor(np.eye(4)).s.size == 4
+
+
+@st.composite
+def tall_matrices(draw):
+    """n x p, p up to 44 and n from p to 1700, on both sides of the 2 x
+    _BLOCK_ROWS rows above which factor works in row blocks: seeded normal
+    or {-1, 0, 1} entries, up to two columns zeroed or copied (scaled),
+    and column scales spread over six decades."""
+    p = draw(st.integers(1, 44))
+    n = draw(st.one_of(st.integers(p, 2 * _BLOCK_ROWS),
+                       st.integers(2 * _BLOCK_ROWS + 1, 1700)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = (rng.normal(size=(n, p)) if draw(st.booleans())
+         else rng.integers(-1, 2, size=(n, p)).astype(float))
+    for _ in range(draw(st.integers(0, 2))):
+        j, k = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        X[:, j] = draw(st.sampled_from([0.0, 1.0, -2.0])) * X[:, k]
+    return X * 10.0 ** rng.uniform(-3, 3, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tall_matrices())
+def test_blocked_factor_matches_one_direct_qr(X):
+    try:
+        s, inv = direct_factor(X)
+    except SingularMatrix as e:
+        with pytest.raises(SingularMatrix) as got:
+            factor(X)
+        assert got.value.offending == e.offending
+        return
+    f = factor(X)
+    if s[0] / s[-1] > 100:
+        return  # agreement to 1e-10 is promised on well-conditioned X only
+    np.testing.assert_allclose(f.s, s, rtol=1e-10)
+    d = np.sqrt(np.diag(inv))
+    assert np.abs((f.inv - inv) / np.outer(d, d)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n, calls", [(2 * _BLOCK_ROWS, 1),
+                                      (2 * _BLOCK_ROWS + 1, 4),
+                                      (4 * _BLOCK_ROWS, 5)])
+def test_only_matrices_past_two_blocks_are_factored_in_blocks(
+        monkeypatch, n, calls):
+    qr = np.linalg.qr
+    seen = []
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda A, mode: seen.append(A.shape) or qr(A, mode))
+    X = np.random.default_rng(31).normal(size=(n, 5))
+    s, inv = direct_factor(X)
+    f = factor(X)
+    assert len(seen) == calls + 1  # and one by direct_factor
+    np.testing.assert_allclose(f.s, s, rtol=1e-12)
+    np.testing.assert_allclose(f.inv, inv, rtol=1e-12)

@@ -203,7 +203,23 @@ def test_expansion_matches_the_oracle_listing(base):
     violations = validate_design(expanded)
     assert bool(violations) != clean.all()
     assert not any(clean[v.run_index] for v in violations)
+    # a planted component is out of the support, so its pairs are 0 and
+    # no support-pair rule fires beside the value's own
+    assert {v.rule for v in violations} <= {
+        "non_finite_value", "negative_value", "proportion_sum"}
     for values, row in zip(expanded.values.tolist(), expanded.pwo.tolist()):
         support = [i for i, v in enumerate(values, start=1) if v > 0]
         order = permutation_from_pwo(row, support, base.m)
         assert pwo_from_run(values, order) == tuple(row)
+
+
+def test_expanded_nan_run_reports_only_the_nan():
+    base = BlockedDesign.from_arrays(4, "proportion",
+                                     [(math.nan, 0, 0.5, 0.5)],
+                                     np.zeros((1, 6)), [1], None, 1)
+    expanded = oofa_expand(base)
+    assert expanded.n == 2
+    assert [(v.run_index, v.rule, v.message)
+            for v in validate_design(expanded)] == [
+        (0, "non_finite_value", "component 1 is nan"),
+        (1, "non_finite_value", "component 1 is nan")]
