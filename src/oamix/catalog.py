@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .core import BlockedDesign
-from .errors import AlreadyExpanded, EmptySupport, InvalidAmount
+from .errors import AlreadyExpanded, InvalidAmount
 from .pwo import _expand
 
 _CENTROID = (0.333, 0.333, 0.334)
@@ -107,10 +107,6 @@ def oofa_expand(base: BlockedDesign) -> BlockedDesign:
         idx = int(ordered[0])
         raise AlreadyExpanded(f"run {idx + 1} already carries an ordering "
                               f"{tuple(base.pwo[idx].tolist())}")
-    empty = np.flatnonzero(~(base.values > 0).any(axis=1))
-    if empty.size:
-        raise EmptySupport(f"run {int(empty[0]) + 1}: all component values "
-                           "are zero")
     rep, pwo = _expand(base.values)
     return BlockedDesign.from_arrays(
         base.m, base.kind, base.values[rep], pwo, base.block[rep],

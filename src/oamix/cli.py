@@ -77,13 +77,14 @@ def _resolve_interactions(arg: str, m: int, include_pwo: bool):
     return tuple(terms)
 
 
-def _spec_from_args(args, m: int) -> ModelSpec:
-    family = MODEL_FAMILIES[args.model]
-    interactions = _resolve_interactions(
-        getattr(args, "interactions", "default"), m, args.pwo)
-    return ModelSpec(family=family, include_pwo=args.pwo,
-                     interaction_terms=interactions,
-                     include_block=args.block)
+def _design_and_spec(args):
+    """The --input design and the ModelSpec of the model options."""
+    from .serialize import parse_design_csv
+    design = parse_design_csv(_read(args.input))
+    interactions = _resolve_interactions(args.interactions, design.m, args.pwo)
+    spec = ModelSpec(MODEL_FAMILIES[args.model], include_pwo=args.pwo,
+                     interaction_terms=interactions, include_block=args.block)
+    return design, spec
 
 
 def _print_json(obj) -> None:
@@ -116,11 +117,10 @@ def _cmd_catalog(args) -> int:
     if args.name == "ca-projection":
         design = cat.CATALOG[args.name](
             1.0 if args.a_max is None else args.a_max)
+    elif args.a_max is not None:
+        print("error: --a-max applies only to ca-projection", file=sys.stderr)
+        return 2
     else:
-        if args.a_max is not None:
-            print(f"error: --a-max applies only to ca-projection",
-                  file=sys.stderr)
-            return 2
         design = cat.CATALOG[args.name]()
     _write(args.output, write_design_csv(design))
     print(f"wrote {design.n} runs ({design.n_blocks} blocks) to {args.output}")
@@ -138,9 +138,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_check_blocks(args) -> int:
     from .evaluate import check_orthogonal_blocking
-    from .serialize import parse_design_csv
-    design = parse_design_csv(_read(args.input))
-    spec = _spec_from_args(args, design.m)
+    design, spec = _design_and_spec(args)
     report = check_orthogonal_blocking(design, spec, tol=args.tol)
     if args.json:
         _print_json(dataclasses.asdict(report))
@@ -162,8 +160,7 @@ def _cmd_eval(args) -> int:
     from .evaluate import criteria_report
     from .modelmat import build_model_matrix
     from .serialize import parse_design_csv
-    design = parse_design_csv(_read(args.input))
-    spec = _spec_from_args(args, design.m)
+    design, spec = _design_and_spec(args)
     X = build_model_matrix(design, spec)
     eval_points = None
     if args.eval_points:
@@ -192,9 +189,7 @@ def _cmd_eval(args) -> int:
 def _cmd_power(args) -> int:
     from .evaluate import CONVENTION_NOTES, power_table, term_r_squared
     from .modelmat import coded_model_matrix
-    from .serialize import parse_design_csv
-    design = parse_design_csv(_read(args.input))
-    spec = _spec_from_args(args, design.m)
+    design, spec = _design_and_spec(args)
     X = coded_model_matrix(design, spec)
     table = power_table(X, alpha=args.alpha, effect_sd=args.effect_sd)
     r2 = term_r_squared(X)
@@ -224,9 +219,8 @@ def _cmd_power(args) -> int:
 
 def _cmd_fds(args) -> int:
     from .evaluate import fds_curve
-    from .serialize import parse_design_csv, write_fds_outputs
-    design = parse_design_csv(_read(args.input))
-    spec = _spec_from_args(args, design.m)
+    from .serialize import write_fds_outputs
+    design, spec = _design_and_spec(args)
     seed = _seed_from_args(args)
     curve = fds_curve(design, spec, args.samples, seed)
     csv_path, svg_path = write_fds_outputs(curve, args.output)
@@ -238,6 +232,7 @@ def _cmd_fds(args) -> int:
 
 
 def _read_response(path: str, n: int):
+    from .serialize import _number  # the design-file number rule
     vals = []
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
         line = line.strip()
@@ -245,7 +240,7 @@ def _read_response(path: str, n: int):
             continue
         cell = line.split(",")[-1].strip()
         try:
-            vals.append(float(cell))
+            vals.append(_number(cell))
         except ValueError:
             if lineno == 1:
                 continue  # header row
@@ -259,9 +254,8 @@ def _read_response(path: str, n: int):
 def _cmd_fit(args) -> int:
     from .fit import ols_fit
     from .modelmat import build_model_matrix
-    from .serialize import fmt_num, parse_design_csv
-    design = parse_design_csv(_read(args.input))
-    spec = _spec_from_args(args, design.m)
+    from .serialize import fmt_num
+    design, spec = _design_and_spec(args)
     X = build_model_matrix(design, spec)
     y = _read_response(args.response, X.n)
     result = ols_fit(X, y)
@@ -283,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, and fitting.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_opts(p, interactions=True):
+    def add_model_opts(p):
         p.add_argument("-i", "--input", required=True,
                        help="design CSV file")
         p.add_argument("--model", required=True,
@@ -294,10 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include pairwise-ordering columns")
         p.add_argument("--block", action=argparse.BooleanOptionalAction,
                        default=True, help="include the block column")
-        if interactions:
-            p.add_argument("--interactions", default="default",
-                           help="default | none | full | comma list i:jk "
-                                "(e.g. 1:12,1:13,2:23)")
+        p.add_argument("--interactions", default="default",
+                       help="default | none | full | comma list i:jk "
+                            "(e.g. 1:12,1:13,2:23)")
 
     p = sub.add_parser("catalog", help="write a built-in design to CSV")
     p.add_argument("name", choices=sorted(cat.CATALOG))

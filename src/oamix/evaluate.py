@@ -16,8 +16,6 @@ they are deliberately not matched.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -28,7 +26,7 @@ from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec
 from .errors import InsufficientDF, NothingToCheck, SchemaError, Unsupported
 from .linalg import _point_variances, det_xtx, log_det_xtx
 from .modelmat import _terms, build_model_matrix, model_rows
-from .pwo import _rows
+from .pwo import _rows, _steps
 
 _MASK64 = (1 << 64) - 1
 # FDS samples turned into model rows and variances per batch; bounds the
@@ -165,7 +163,8 @@ def criteria_report(X: ModelMatrix,
 
     max_pv and avg_pv are taken over the design's own rows unless an
     explicit point set (rows in the same column basis) is supplied; a point
-    set that is not a non-empty (k, p) array raises SchemaError.
+    set that is not a non-empty (k, p) array of finite values raises
+    SchemaError.
     """
     f = X.factor
     inv = f.inv
@@ -174,6 +173,9 @@ def criteria_report(X: ModelMatrix,
     if pts.ndim != 2 or pts.shape[1] != p or not len(pts):
         raise SchemaError(f"eval points have shape {pts.shape}; the model "
                           f"matrix needs one or more rows of {p} columns")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise SchemaError(f"eval point row {bad[0] + 1} is not finite")
     pv = _point_variances(pts, inv)
     max_pv = float(pv.max())
     avg_pv = float(pv.mean())
@@ -216,16 +218,6 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-@functools.lru_cache
-def _pwo_table(m: int) -> np.ndarray:
-    """Read-only (m!, pairs) PWO rows of every full addition order, row i
-    for the i-th order of itertools.permutations(1..m)."""
-    steps = np.argsort(list(itertools.permutations(range(m))), axis=1)
-    table = _rows(steps, np.ones_like(steps, dtype=bool)).astype(float)
-    table.flags.writeable = False
-    return table
-
-
 def _fds_draws(n: int, m: int, n_levels: Optional[int], seed: int):
     """The FDS sample stream, as arrays: sample s's generator draws m unit
     exponentials, a level index (only with n_levels, else level is None),
@@ -258,8 +250,8 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     seeded by the 128-bit integer (seed mod 2^64) * 2^64 + s: partitioned or
     partial runs agree with full runs sample for sample, and two seeds never
     share a sample's stream; the curve's sampler field names that stream.
-    Only the draws run per sample: normalization, amounts, PWO rows (from
-    a cached table of all m! orders) and model rows are array passes.
+    Only the draws run per sample: normalization, amounts, PWO rows (decoded
+    from the ordering indices, no m! table) and model rows are array passes.
     Variances are sorted ascending against fractions (i - 0.5)/n_samples.
     An n_samples that is not an integer >= 1, or a seed that is not an
     integer (bool is neither), raises Unsupported.
@@ -283,12 +275,15 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     if design.kind == "amount":
         values *= amount[:, None]
     block += 1
-    table = _pwo_table(m)
+    pwo = _rows(_steps(order, m), np.ones((1, m), dtype=bool))
     pvs = np.empty(n_samples)
     for lo in range(0, n_samples, _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        rows = model_rows(spec, m, values[part], table[order[part]],
-                          block[part], None if amount is None else amount[part])
+        rows = model_rows(spec, m, values[part], pwo[part], block[part],
+                          None if amount is None else amount[part])
+        # einsum forms each variance from its own row alone; a BLAS
+        # (k, p) @ (p, p) product may round a row differently for another
+        # k, and then a sample's variance would depend on its batch
         pvs[part] = np.einsum("ij,jk,ik->i", rows, inv, rows)
 
     pvs.sort()

@@ -8,15 +8,15 @@ component is absent).
 
 This module is the library's one encoder: every PWO row, of one order or of
 a whole expanded design, comes from _rows, which reads a step table (the
-addition step of each component) and a support mask. _listing fixes the
-order in which a support's orderings are listed, and _expand lists them for
-every run of a design at once.
+addition step of each component) and a support mask. _steps decodes the
+i-th addition order, _listing fixes the order in which a support's
+orderings are listed, and _expand lists them for every run of a design.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,15 +33,29 @@ def _rows(step: np.ndarray, on: np.ndarray) -> np.ndarray:
     return np.sign(step[:, K] - step[:, J]) * (on[:, J] & on[:, K])
 
 
+def _steps(index: np.ndarray, s: int) -> np.ndarray:
+    """(n, s) int8 step of each component in the index[i]-th tuple of
+    itertools.permutations(range(s)). The index's factorial-base digits
+    (Lehmer code) are placed from the last position back: digit d goes in
+    front, and each component already placed at d or above moves up one."""
+    order = np.zeros((len(index), s), dtype=np.int8)
+    for j in range(s - 2, -1, -1):
+        index, d = np.divmod(index, s - j)
+        later = order[:, j + 1:]
+        later += later >= d[:, None]
+        order[:, j] = d
+    return np.argsort(order, axis=1).astype(np.int8)
+
+
 @functools.lru_cache
 def _listing(s: int) -> np.ndarray:
     """Read-only (s!, s) int8 table of the addition step of each rank of an
     s-component support, one row per ordering, in descending lexicographic
     order of the orderings' PWO rows over those ranks."""
-    steps = np.argsort(list(itertools.permutations(range(s))), axis=1)
+    steps = _steps(np.arange(math.factorial(s)), s)
     rows = _rows(steps, np.ones_like(steps, dtype=bool)).tolist()
     listed = sorted(range(len(rows)), key=rows.__getitem__, reverse=True)
-    table = steps[listed].astype(np.int8)
+    table = steps[listed]
     table.flags.writeable = False
     return table
 
@@ -50,10 +64,14 @@ def _expand(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every ordering of every run's support, run by run: (rep, pwo), where
     output row i is run rep[i] with PWO row pwo[i]. A run's support is
     ranked by increasing value (ties by index) and its orderings follow
-    _listing; a run with s positive components gets s! rows."""
+    _listing; a run with s positive components gets s! rows, and a run
+    with none is refused (EmptySupport, naming the first such run)."""
     m = values.shape[1]
     on = values > 0
     size = on.sum(axis=1)
+    if not size.all():
+        raise EmptySupport(
+            f"run {size.argmin() + 1}: all component values are zero")
     per_run = np.cumprod([1, *range(1, m + 1)])[size]
     rep = np.repeat(np.arange(len(values)), per_run)
     within = np.arange(len(rep)) - (np.cumsum(per_run) - per_run)[rep]
@@ -133,6 +151,4 @@ def enumerate_orderings(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:
     (1,1,1), (1,1,-1), (1,-1,-1), (-1,1,1), (-1,-1,1), (-1,-1,-1).
     """
     v = np.array(values, dtype=float).reshape(1, -1)
-    if not (v > 0).any():
-        raise EmptySupport("all component values are zero")
     return tuple(map(tuple, _expand(v)[1].tolist()))

@@ -291,10 +291,9 @@ def write_fds_outputs(curve: FDSCurve, base_path: str) -> tuple[str, str]:
     csv_path = f"{base_path}.csv"
     svg_path = f"{base_path}.svg"
     with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["fraction", "variance"])
-        for f, v in zip(curve.fractions, curve.variances):
-            w.writerow([repr(f), repr(v)])
+        fh.write("fraction,variance\n" + "".join(
+            f"{f!r},{v!r}\n"
+            for f, v in zip(curve.fractions, curve.variances)))
     with open(svg_path, "w") as fh:
         fh.write(fds_svg(curve))
     return csv_path, svg_path

@@ -320,6 +320,18 @@ def test_fit_recovers_synthetic_coefficients(tmp_path, capsys):
         assert float(est) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"])
+def test_response_cells_follow_the_design_number_rule(tmp_path, capsys, cell):
+    # float() reads both; a design file refuses both by line
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    y = tmp_path / "y.csv"
+    y.write_text("y\n" + "1\n" * 4 + f"{cell}\n" + "1\n" * 19)
+    capsys.readouterr()
+    assert run_cli("fit", "-i", str(t3), "--model", "scheffe-q",
+                   "--response", str(y), "-o", str(tmp_path / "c.csv")) == 3
+    assert "response line 6" in capsys.readouterr().err
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     assert run_cli("eval", "-i", str(tmp_path / "nope.csv"),
                    "--model", "scheffe-q") == 3

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -8,21 +9,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import fds_curve_per_sample, mc_t_test_power, pwo_from_run
+from _oracles import fds_curve_per_sample, mc_t_test_power
 from oamix.catalog import (aggarwal_a_oofa, aggarwal_a_optimal,
                            component_amount_projection_design,
                            czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
 from oamix.core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec, Run
-from oamix.errors import (InsufficientDF, NothingToCheck, SingularMatrix,
-                          Unsupported)
+from oamix.errors import (InsufficientDF, NothingToCheck, SchemaError,
+                          SingularMatrix, Unsupported)
 from oamix.evaluate import _CHUNK as CHUNK
-from oamix.evaluate import (FDS_SAMPLER, _pwo_table,
-                            check_orthogonal_blocking, criteria_report,
-                            fds_curve, power_table, term_r_squared)
+from oamix.evaluate import (FDS_SAMPLER, check_orthogonal_blocking,
+                            criteria_report, fds_curve, power_table,
+                            term_r_squared)
 from oamix.fit import ols_fit, predict
 from oamix.modelmat import (build_model_matrix, coded_model_matrix,
                             column_names, default_interaction_subset,
                             full_interaction_set)
+from oamix.pwo import pwo_from_permutation
 
 # two-sided t-test power at se=0.5, sigma=1, effect 2 sigma, df=3, alpha 5%
 POWER_SE_HALF_DF3 = 0.754984
@@ -281,6 +283,14 @@ def test_criteria_report_eval_points_override():
     assert rep.max_pv == pytest.approx(100.0 * inv[0, 0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_criteria_report_refuses_non_finite_eval_points(bad):
+    X = ModelMatrix(("u", "v"), np.eye(2))
+    pts = np.array([[1.0, 0.0], [0.5, bad]])
+    with pytest.raises(SchemaError, match="row 2"):
+        criteria_report(X, eval_points=pts)
+
+
 def test_criteria_report_names_offending_columns():
     col = np.arange(5.0)
     X = ModelMatrix(("a", "twin", "b"),
@@ -461,6 +471,19 @@ def lattice_5_2_oofa():
         block, None, 2))
 
 
+def random_ordered_design(m, n, seed):
+    """n full-support runs of m components, each with a random addition
+    order, alternating between 2 blocks, and the Scheffe linear model with
+    PWO and block columns."""
+    rng = np.random.default_rng(seed)
+    pwo = [pwo_from_permutation(rng.permutation(m) + 1, m) for _ in range(n)]
+    design = BlockedDesign.from_arrays(
+        m, "proportion", rng.dirichlet(np.ones(m), n), np.array(pwo),
+        np.arange(n) % 2 + 1, None, 2)
+    return design, ModelSpec("scheffe_linear", include_pwo=True,
+                             include_block=True)
+
+
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
 @pytest.mark.parametrize("seed", [0, 42, -1, 2 ** 64 + 3])
 @pytest.mark.parametrize("design,spec", [
@@ -468,8 +491,10 @@ def lattice_5_2_oofa():
     (component_amount_projection_design(100.0), CA_SPEC),
     (lattice_5_2_oofa(), ModelSpec("scheffe_quadratic", include_pwo=True,
                                    include_block=True)),
+    random_ordered_design(8, 50, seed=8),
+    random_ordered_design(9, 60, seed=9),
 ], ids=["czitrom-d-oofa/scheffe-q", "ca-projection@100/ca-q",
-        "lattice-5-2/scheffe-q"])
+        "lattice-5-2/scheffe-q", "random-m8/scheffe-l", "random-m9/scheffe-l"])
 def test_fds_curve_matches_per_sample_oracle(design, spec, seed, n):
     # the array passes after the draw loop keep the stream bit for bit
     curve = fds_curve(design, spec, n, seed)
@@ -477,19 +502,16 @@ def test_fds_curve_matches_per_sample_oracle(design, spec, seed, n):
     assert curve.sampler == FDS_SAMPLER
 
 
-@pytest.mark.parametrize("m", range(2, 7))
-def test_pwo_table_lists_every_full_order(m):
-    table = _pwo_table(m)
-    perms = list(itertools.permutations(range(1, m + 1)))
-    assert table.shape == (len(perms), m * (m - 1) // 2)
-    full = (1.0,) * m
-    for row, perm in zip(table, perms):
-        assert tuple(row) == pwo_from_run(full, perm)
-    assert len({tuple(row) for row in table}) == len(perms)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 0.0
-    assert _pwo_table(m) is table
+def test_fds_memory_does_not_grow_with_m_factorial():
+    # 9! = 362880 orders; a table of their PWO rows alone is over 100 MB
+    design, spec = random_ordered_design(9, 60, seed=8)
+    tracemalloc.start()
+    try:
+        fds_curve(design, spec, 1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_power_single_column_matches_monte_carlo():

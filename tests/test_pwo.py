@@ -10,7 +10,7 @@ from oamix.catalog import oofa_expand
 from oamix.core import BlockedDesign, validate_design
 from oamix.errors import (EmptySupport, InconsistentPWO, InvalidPermutation,
                           SupportMismatch)
-from oamix.pwo import (enumerate_orderings, permutation_from_pwo,
+from oamix.pwo import (_steps, enumerate_orderings, permutation_from_pwo,
                        pwo_from_permutation)
 
 
@@ -120,8 +120,20 @@ def test_enumerate_orderings_rule_over_shuffled_supports():
 
 
 def test_enumerate_orderings_empty_support():
-    with pytest.raises(EmptySupport):
+    with pytest.raises(EmptySupport, match="run 1: all component values"):
         enumerate_orderings((0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_steps_decode_every_index_in_permutations_order(s):
+    perms = np.array(list(itertools.permutations(range(s))))
+    index = np.arange(len(perms))
+    steps = _steps(index, s)
+    assert steps.dtype == np.int8
+    assert np.array_equal(steps, np.argsort(perms, axis=1))
+    # any selection of indices, in any order, decodes row by row
+    pick = np.random.default_rng(s).permutation(index)[:50]
+    assert np.array_equal(_steps(pick, s), steps[pick])
 
 
 def test_round_trip_all_supports_m3():
