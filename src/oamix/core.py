@@ -258,16 +258,22 @@ class ModelMatrix:
         return self.data[:, self.columns.index(name)]
 
     @functools.cached_property
-    def factor(self) -> linalg.Factor:
-        """linalg.factor of data. A singular matrix is not cached: every
-        access raises SingularMatrix again, naming the dependent columns."""
+    def _factored(self) -> linalg.Factor | SingularMatrix:
         try:
             return linalg.factor(self.data)
         except SingularMatrix as e:
-            names = tuple(self.columns[i] for i in e.offending
-                          if i < len(self.columns))
-            raise SingularMatrix(e.args[0], offending=e.offending,
-                                 names=names) from None
+            return SingularMatrix(e.args[0], e.offending, tuple(
+                self.columns[i] for i in e.offending if i < self.p))
+
+    @property
+    def factor(self) -> linalg.Factor:
+        """linalg.factor of data, made once. A singular matrix keeps its
+        refusal: every access raises a fresh SingularMatrix with the same
+        message, offending indices and dependent column names."""
+        f = self._factored
+        if isinstance(f, SingularMatrix):
+            raise SingularMatrix(f.args[0], f.offending, f.names)
+        return f
 
 
 class Violation(NamedTuple):
@@ -283,7 +289,7 @@ def _incidence(m: int):
     """0-based pair members J, K and their pairs x m one-hot matrices."""
     J, K = (np.array([p[i] - 1 for p in pair_indices(m)], dtype=np.intp)
             for i in (0, 1))
-    eye = np.eye(m, dtype=np.int64)
+    eye = np.eye(m)
     return J, K, eye[J], eye[K]
 
 
@@ -309,7 +315,8 @@ def _support_pair_rules(add, Z, absent, on, ordered, bad, first, second):
     add(3, "pwo_partial", judged & (n_ordered > 0) & (n_ordered < n_on),
         lambda r, _: f"{n_on[r] - n_ordered[r]} of the {n_on[r]} support "
                      "pairs are 0; a run is ordered on all of them or on none")
-    wins = ((Z > 0) & on) @ first + ((Z < 0) & on) @ second
+    # float operands put the products in BLAS; counts below m are exact
+    wins = (((Z > 0) & on) @ first + ((Z < 0) & on) @ second).astype(np.int64)
     # s out-degrees in 0..s-1 summing to s(s-1)/2 are {s-1, ..., 0} iff
     # they are distinct; absent components get distinct negative fillers
     m = absent.shape[1]

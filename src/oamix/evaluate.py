@@ -25,7 +25,7 @@ import numpy as np
 from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec
 from .errors import InsufficientDF, NothingToCheck, SchemaError, Unsupported
 from .linalg import _point_variances, det_xtx, log_det_xtx
-from .modelmat import _terms, build_model_matrix, model_rows
+from .modelmat import _columns, _terms, build_model_matrix, model_rows
 from .pwo import _rows, _steps
 
 _MASK64 = (1 << 64) - 1
@@ -90,13 +90,13 @@ def check_orthogonal_blocking(design: BlockedDesign, spec: ModelSpec,
         raise NothingToCheck(
             f"blocking needs at least 2 blocks, design has {design.n_blocks}")
     spec = replace(spec, include_block=False)
-    X = build_model_matrix(design, spec)
-    # per block, the columns as lists of floats (fsum is fast on lists)
-    by_block = [X.data[design.block == b].T.tolist()
+    # per block, its own (p, n_b) columns, so that no (p, n) buffer is
+    # copied into selections; fsum reads each row in place
+    by_block = [_columns(design, spec, "raw", design.block == b)
                 for b in range(1, design.n_blocks + 1)]
     records = []
     for j, (term, cond, _) in enumerate(_terms(spec, design.m)):
-        sums = tuple(math.fsum(cols[j]) for cols in by_block)
+        sums = tuple(math.fsum(memoryview(rows[j])) for rows in by_block)
         disc = max(sums) - min(sums)
         use_tol = 0.0 if cond in _EXACT_CONDITIONS else tol
         records.append(ConditionCheck(cond, term, sums, disc, use_tol,

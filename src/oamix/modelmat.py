@@ -116,9 +116,11 @@ def column_names(spec: ModelSpec, m: int) -> tuple[str, ...]:
 
 
 def _fill(terms, V, Z, B, A) -> np.ndarray:
-    out = np.empty((len(V), len(terms)))
+    """The model columns as the rows of a (p, n) array, each written in one
+    contiguous pass."""
+    out = np.empty((len(terms), len(V)))
     for j, (_, _, build) in enumerate(terms):
-        out[:, j] = build(V, Z, B, A)
+        out[j] = build(V, Z, B, A)
     return out
 
 
@@ -130,8 +132,9 @@ def model_rows(spec: ModelSpec, m: int, values, pwo, block,
     amount is needed only by the mixture-amount families.
     """
     A = None if amount is None else np.asarray(amount, dtype=float)
-    return _fill(_terms(spec, m), np.asarray(values, dtype=float),
-                 np.asarray(pwo, dtype=float), np.asarray(block), A)
+    return np.ascontiguousarray(_fill(
+        _terms(spec, m), np.asarray(values, dtype=float),
+        np.asarray(pwo, dtype=float), np.asarray(block), A).T)
 
 
 def _check_kind(design: BlockedDesign, spec: ModelSpec) -> None:
@@ -154,7 +157,10 @@ def _coded(V: np.ndarray, A: np.ndarray, kind: str) -> np.ndarray:
     return 2.0 * V / A.max() - 1.0
 
 
-def _build(design: BlockedDesign, spec: ModelSpec, basis: str) -> ModelMatrix:
+def _columns(design: BlockedDesign, spec: ModelSpec, basis: str,
+             runs=slice(None)) -> np.ndarray:
+    """The model columns of design, on the runs an index or mask selects,
+    as the rows of a (p, n) array."""
     _check_kind(design, spec)
     if not design.n:
         raise EmptyDesign("design has no runs")
@@ -166,9 +172,15 @@ def _build(design: BlockedDesign, spec: ModelSpec, basis: str) -> ModelMatrix:
     V, A = design.values, design.amount
     if basis == "coded":
         V = _coded(V, A, design.kind)
-    data = _fill(terms, V, design.pwo.astype(float), design.block, A)
-    return ModelMatrix(columns=tuple(name for name, _, _ in terms),
-                       data=data, basis=basis)
+    return _fill(terms, V[runs], design.pwo[runs].astype(float),
+                 design.block[runs], A[runs])
+
+
+def _build(design: BlockedDesign, spec: ModelSpec, basis: str) -> ModelMatrix:
+    cols = _columns(design, spec, basis)
+    # ModelMatrix's private copy of the transposed view is C-contiguous
+    return ModelMatrix(columns=column_names(spec, design.m), data=cols.T,
+                       basis=basis)
 
 
 def build_model_matrix(design: BlockedDesign, spec: ModelSpec) -> ModelMatrix:

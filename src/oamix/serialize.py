@@ -73,14 +73,14 @@ def write_design_csv(design: BlockedDesign) -> str:
         raise InvalidDesign([v for v in validate_design(design)
                              if v.rule == "non_finite_value"])
     with_amount = not np.isnan(design.amount).all()
-    run = np.array([*map(str, range(1, design.n + 1))], dtype=object)
-    columns = [run[:, None], _formatted(design.values, fmt_num),
-               _INT8_CELLS[design.pwo], _formatted(design.block, str)[:, None]]
+    columns = [[*map(str, range(1, design.n + 1))],
+               *_formatted(design.values.T, fmt_num).tolist(),
+               *_INT8_CELLS[design.pwo.T].tolist(),
+               _formatted(design.block, str).tolist()]
     if with_amount:
         columns.append(_formatted(
-            design.amount, lambda a: "" if math.isnan(a) else fmt_num(a))[:, None])
-    rows = [_header(design.m, design.kind, with_amount),
-            *np.hstack(columns).tolist()]
+            design.amount, lambda a: "" if math.isnan(a) else fmt_num(a)).tolist())
+    rows = [_header(design.m, design.kind, with_amount), *zip(*columns)]
     return "\n".join(map(",".join, rows)) + "\n"
 
 

@@ -10,7 +10,9 @@ converts one cell at a time with float(), the way the library did before
 it read files with np.loadtxt, and design_csv_per_row is the columnar
 writer before it joined the run number in as a cell. The FDS oracle is
 the sampler's per-sample loop; it shares the library's model rows and
-inverse, so it checks the sampler alone. The PWO oracles
+inverse, so it checks the sampler alone. The blocking oracle sums lists of
+the built matrix's columns per block, the way the check did before it read
+its column buffer in place. The PWO oracles
 (pwo_from_run, listed_orderings) encode one pair at a time with Python
 loops and share no code with the library's encoder in oamix.pwo.
 """
@@ -22,6 +24,7 @@ import io
 import itertools
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 
@@ -276,6 +279,16 @@ def run_violations(m: int, kind: str, runs, n_blocks: int,
         if b not in seen_blocks:
             out.append(Violation(None, "empty_block", f"block {b} has no runs"))
     return out
+
+
+def fsum_block_sums(design: BlockedDesign, spec) -> list[tuple[float, ...]]:
+    """Per non-block model column, math.fsum of its entries in each block,
+    summed from per-block lists of the columns of build_model_matrix."""
+    X = build_model_matrix(design, replace(spec, include_block=False))
+    by_block = [X.data[design.block == b].T.tolist()
+                for b in range(1, design.n_blocks + 1)]
+    return [tuple(math.fsum(cols[j]) for cols in by_block)
+            for j in range(X.p)]
 
 
 def direct_factor(X) -> tuple[np.ndarray, np.ndarray]:

@@ -14,3 +14,20 @@ def qr_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counting)
     return calls
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """A list that grows by one for every oamix.linalg.factor call: one
+    factorization, however many QR calls its row blocks take."""
+    import oamix.linalg
+
+    calls = []
+    factor = oamix.linalg.factor
+
+    def counting(X):
+        calls.append(np.shape(X))
+        return factor(X)
+
+    monkeypatch.setattr(oamix.linalg, "factor", counting)
+    return calls

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _oracles import fds_curve_per_sample, mc_t_test_power
+from _oracles import fds_curve_per_sample, fsum_block_sums, mc_t_test_power
 from oamix.catalog import (aggarwal_a_oofa, aggarwal_a_optimal,
                            component_amount_projection_design,
                            czitrom_d_oofa, czitrom_d_optimal, oofa_expand)
@@ -154,6 +154,18 @@ def test_blocking_fails_with_named_condition():
     assert "pwo_sum" in failed
 
 
+def lattice_oofa(m, q):
+    """The {m, q} simplex lattice in each of 2 blocks, expanded: 50 runs at
+    (5, 2), 730 at (5, 4) and 1632 at (6, 4)."""
+    points = [np.array(c) / q for c in itertools.product(range(q + 1),
+                                                          repeat=m)
+              if sum(c) == q]
+    block = [1] * len(points) + [2] * len(points)
+    return oofa_expand(BlockedDesign.from_arrays(
+        m, "proportion", np.array(points * 2),
+        np.zeros((len(block), m * (m - 1) // 2)), block, None, 2))
+
+
 BLOCKED_CASES = (
     (czitrom_d_oofa(), scheffe_spec()),
     (aggarwal_a_oofa(), ModelSpec("k_quadratic", include_pwo=True,
@@ -231,19 +243,66 @@ def test_blocking_refuses_a_negative_or_nan_tol(tol):
         check_orthogonal_blocking(czitrom_d_oofa(), scheffe_spec(), tol=tol)
 
 
-def test_analyses_of_one_matrix_share_one_factorization(qr_calls):
-    X = build_model_matrix(czitrom_d_oofa(), scheffe_spec())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(2, 4), case=st.sampled_from([
+    (czitrom_d_oofa(), scheffe_spec()),
+    (aggarwal_a_oofa(), ModelSpec("k_quadratic", include_pwo=True)),
+    (component_amount_projection_design(100.0),
+     ModelSpec("component_amount_quadratic", include_pwo=True,
+               interaction_terms=default_interaction_subset(3))),
+    (lattice_oofa(5, 2), ModelSpec("scheffe_quadratic", include_pwo=True)),
+]))
+def test_blocking_sums_match_fsum_over_column_lists(data, k, case):
+    design, spec = case
+    n = design.n
+    order = np.array(data.draw(st.permutations(range(n))))
+    block = np.array(data.draw(st.lists(st.integers(1, k), min_size=n,
+                                        max_size=n)))
+    block[order[:k]] = np.arange(1, k + 1)  # no block is empty
+    shuffled = BlockedDesign.from_arrays(
+        design.m, design.kind, design.values[order], design.pwo[order],
+        block, design.amount[order], k)
+    report = check_orthogonal_blocking(shuffled, spec)
+    # the same floats, bit for bit: == on floats is exact
+    assert ([c.block_sums for c in report.conditions]
+            == fsum_block_sums(shuffled, spec))
+
+
+def test_blocking_check_peak_memory_stays_near_the_matrix_size():
+    # 1632 runs x 36 columns: each block's own columns, with no n x p
+    # matrix, no copies of its rows and no list of Python floats
+    design = lattice_oofa(6, 4)
+    spec = ModelSpec("scheffe_quadratic", include_pwo=True)
+    check_orthogonal_blocking(design, spec)  # the term table is cached
+    nbytes = design.n * len(column_names(spec, design.m)) * 8
+    tracemalloc.start()
+    try:
+        check_orthogonal_blocking(design, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * nbytes
+
+
+@pytest.mark.parametrize("design,spec", [
+    (czitrom_d_oofa(), scheffe_spec()),
+    (lattice_oofa(5, 4), ModelSpec("scheffe_quadratic", include_pwo=True,
+                                   include_block=True)),
+], ids=["czitrom-d-oofa", "lattice-5-4"])
+def test_analyses_of_one_matrix_share_one_factorization(factor_calls, design,
+                                                        spec):
+    X = build_model_matrix(design, spec)
     y = np.arange(X.n, dtype=float)
     criteria_report(X)
     power_table(X)
     term_r_squared(X)
     fit = ols_fit(X, y)
     predict(fit, X)
-    assert len(qr_calls) == 1
+    assert factor_calls == [X.data.shape]
     assert fit.info_inv is X.factor.inv  # the one inverse, not a copy
 
 
-def test_singular_matrix_names_columns_on_every_call(qr_calls):
+def test_singular_matrix_names_columns_on_every_call(qr_calls, factor_calls):
     col = np.array([1.0, 2.0, 3.0, 4.0])
     X = ModelMatrix(("a", "b", "c"),
                     np.column_stack([col, np.ones(4), 2 * col]))
@@ -251,7 +310,10 @@ def test_singular_matrix_names_columns_on_every_call(qr_calls):
         with pytest.raises(SingularMatrix) as exc:
             call(X)
         assert exc.value.names == ("c",)
-    assert len(qr_calls) == 2  # a singular matrix is not cached
+        assert exc.value.offending == (2,)
+    # the refusal is kept: the second call raises it again unfactored
+    assert len(qr_calls) == 1
+    assert len(factor_calls) == 1
 
 
 def test_criteria_report_identity_matrix():
@@ -460,17 +522,6 @@ def test_fds_accepts_numpy_integers():
                      np.int64(-1)) == want
 
 
-def lattice_5_2_oofa():
-    """The {5, 2} simplex lattice in each of 2 blocks, expanded: 50 runs."""
-    eye = np.eye(5)
-    points = [*eye, *((eye[j] + eye[k]) / 2
-                      for j, k in itertools.combinations(range(5), 2))]
-    block = [1] * len(points) + [2] * len(points)
-    return oofa_expand(BlockedDesign.from_arrays(
-        5, "proportion", np.array(points * 2), np.zeros((len(block), 10)),
-        block, None, 2))
-
-
 def random_ordered_design(m, n, seed):
     """n full-support runs of m components, each with a random addition
     order, alternating between 2 blocks, and the Scheffe linear model with
@@ -489,7 +540,7 @@ def random_ordered_design(m, n, seed):
 @pytest.mark.parametrize("design,spec", [
     (czitrom_d_oofa(), scheffe_spec()),
     (component_amount_projection_design(100.0), CA_SPEC),
-    (lattice_5_2_oofa(), ModelSpec("scheffe_quadratic", include_pwo=True,
+    (lattice_oofa(5, 2), ModelSpec("scheffe_quadratic", include_pwo=True,
                                    include_block=True)),
     random_ordered_design(8, 50, seed=8),
     random_ordered_design(9, 60, seed=9),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oamix import modelmat
 from oamix.catalog import (CATALOG, component_amount_projection_design,
                            czitrom_d_oofa, czitrom_d_optimal)
 from oamix.core import BlockedDesign, ModelSpec, Run
@@ -253,3 +254,30 @@ def test_every_column_is_the_product_its_name_spells(name):
                                  for c in X.columns] for r in design.runs]
                         assert np.array_equal(X.data, np.array(want)), \
                             (family, pwo, block, coded)
+
+
+@pytest.mark.parametrize("build", [build_model_matrix, coded_model_matrix])
+def test_matrix_is_a_c_contiguous_read_only_copy_of_the_columns(
+        build, monkeypatch):
+    buffers = []
+    columns = modelmat._columns
+
+    def keep(*args):
+        buffers.append(columns(*args))
+        return buffers[-1]
+
+    monkeypatch.setattr(modelmat, "_columns", keep)
+    X = build(component_amount_projection_design(100.0), ca_spec())
+    (buf,) = buffers
+    assert buf.shape == (X.p, X.n)
+    assert X.data.flags.c_contiguous and not X.data.flags.writeable
+    assert not np.shares_memory(X.data, buf)
+    np.testing.assert_array_equal(X.data, buf.T)
+
+
+def test_model_rows_are_c_contiguous():
+    d = czitrom_d_oofa()
+    rows = model_rows(scheffe_spec(), 3, d.values, d.pwo, d.block)
+    assert rows.flags.c_contiguous
+    np.testing.assert_array_equal(
+        rows, build_model_matrix(d, scheffe_spec()).data)
