@@ -182,9 +182,9 @@ class BlockedDesign:
             amounts)))
 
     def amount_levels(self) -> tuple[float, ...]:
-        """Distinct total-amount levels present, ascending."""
+        """Distinct total amounts to 12 significant digits, ascending."""
         given = self.amount[~np.isnan(self.amount)].tolist()
-        return tuple(sorted({round(a, 12) for a in given}))
+        return tuple(sorted({float(f"{a:.12g}") for a in given}))
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ class ModelMatrix:
 
     factor is the one factorization of data, made on first use and shared
     by every analysis of this matrix; data is a private read-only copy, so
-    it cannot go stale.
+    it cannot go stale; its factor holds no raw-unit (X'X)^-1 (see linalg).
     """
 
     columns: tuple[str, ...]

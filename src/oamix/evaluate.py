@@ -32,6 +32,7 @@ _MASK64 = (1 << 64) - 1
 # FDS samples turned into model rows and variances per batch; bounds the
 # memory of the row arrays
 _CHUNK = 1024
+_LOG_MAX = math.log(np.finfo(float).max)  # exp of more overflows
 
 CONVENTION_NOTES = (
     "prediction variance is unscaled v'(X'X)^-1 v (units of sigma^2); "
@@ -127,14 +128,15 @@ class EvalReport:
     notes: tuple[str, ...] = CONVENTION_NOTES
 
 
-def _column_r2(X: ModelMatrix, inv: np.ndarray) -> list[float]:
-    T = X.data
+def _column_r2(X: ModelMatrix) -> list[float]:
+    # RSS_j/TSS_j is free of units: both on Xs, where RSS_j = 1/|W_j|^2
+    T, W = X.factor.Xs, X.factor.W
     if "1" in X.columns:
         # centre every column but the intercept about its mean
         T = T - np.where(np.array(X.columns) == "1", 0.0, T.mean(axis=0))
     tss = np.sum(T * T, axis=0)
     tss[tss <= 1e-300] = math.nan
-    return (1.0 - (1.0 / np.diag(inv)) / tss).tolist()
+    return (1.0 - (1.0 / np.sum(W * W, axis=1)) / tss).tolist()
 
 
 def _power(se: np.ndarray, df: int, alpha: float,
@@ -167,32 +169,29 @@ def criteria_report(X: ModelMatrix,
     SchemaError.
     """
     f = X.factor
-    inv = f.inv
     n, p = X.n, X.p
-    pts = X.data if eval_points is None else np.asarray(eval_points, float)
+    pts = f.Xs if eval_points is None else np.asarray(eval_points, float)
     if pts.ndim != 2 or pts.shape[1] != p or not len(pts):
         raise SchemaError(f"eval points have shape {pts.shape}; the model "
                           f"matrix needs one or more rows of {p} columns")
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise SchemaError(f"eval point row {bad[0] + 1} is not finite")
-    pv = _point_variances(pts, inv)
+    pv = _point_variances(f, pts if eval_points is None else pts / f.norms)
     max_pv = float(pv.max())
-    avg_pv = float(pv.mean())
-    g_eff = 100.0 * p / (n * max_pv)
-    ses = np.sqrt(np.diag(inv))
-    r2 = _column_r2(X, inv)
     df = n - p
-    power = (_power(ses, df, 0.05, 2.0) if df > 0
+    power = (_power(f.se, df, 0.05, 2.0) if df > 0
              else np.full(p, math.nan))
-    cols = tuple(ColumnStats(name, float(se), r, float(pw))
-                 for name, se, r, pw in zip(X.columns, ses, r2, power))
-    return EvalReport(
-        n=n, p=p, det_xtx=det_xtx(f),
-        d_criterion=math.exp(log_det_xtx(f) / p) / n,
-        a_criterion=float(np.trace(inv)),
-        max_pv=max_pv, avg_pv=avg_pv, g_efficiency=g_eff,
-        columns=cols)
+    cols = tuple(ColumnStats(name, float(se), r, float(pw)) for name, se, r, pw
+                 in zip(X.columns, f.se, _column_r2(X), power))
+    log_d = log_det_xtx(f) / p
+    with np.errstate(over="ignore"):  # a_criterion reads inf past the range
+        return EvalReport(
+            n=n, p=p, det_xtx=det_xtx(f),
+            d_criterion=math.exp(log_d) / n if log_d < _LOG_MAX else math.inf,
+            a_criterion=float(np.sum(f.se * f.se)), max_pv=max_pv,
+            avg_pv=float(pv.mean()), g_efficiency=100.0 * p / (n * max_pv),
+            columns=cols)
 
 
 # Names the FDS sample stream; changes whenever a fixed seed's samples do
@@ -261,8 +260,7 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
                           f"got {n_samples!r}")
     if not _is_integer(seed):
         raise Unsupported(f"seed must be an integer, got {seed!r}")
-    X = build_model_matrix(design, spec)
-    inv = X.factor.inv
+    f = build_model_matrix(design, spec).factor
     m = design.m
     levels = design.amount_levels()
     use_amount = (design.kind == "amount"
@@ -281,10 +279,7 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
         part = slice(lo, lo + _CHUNK)
         rows = model_rows(spec, m, values[part], pwo[part], block[part],
                           None if amount is None else amount[part])
-        # einsum forms each variance from its own row alone; a BLAS
-        # (k, p) @ (p, p) product may round a row differently for another
-        # k, and then a sample's variance would depend on its batch
-        pvs[part] = np.einsum("ij,jk,ik->i", rows, inv, rows)
+        pvs[part] = _point_variances(f, rows / f.norms)
 
     pvs.sort()
     fracs = tuple((i - 0.5) / n_samples for i in range(1, n_samples + 1))
@@ -313,10 +308,9 @@ def power_table(X: ModelMatrix, alpha: float = 0.05,
     n, p = X.n, X.p
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}: no residual degrees of freedom")
-    ses = np.sqrt(np.diag(X.factor.inv))
-    power = _power(ses, n - p, alpha, effect_sd)
-    return {name: PowerRow(se=float(se), power=float(pw))
-            for name, se, pw in zip(X.columns, ses, power)}
+    ses = X.factor.se
+    return {name: PowerRow(se=float(se), power=float(pw)) for name, se, pw
+            in zip(X.columns, ses, _power(ses, n - p, alpha, effect_sd))}
 
 
 def term_r_squared(X: ModelMatrix) -> dict[str, float]:
@@ -328,4 +322,4 @@ def term_r_squared(X: ModelMatrix) -> dict[str, float]:
     """
     if X.p < 2:
         raise ValueError("need at least 2 columns")
-    return dict(zip(X.columns, _column_r2(X, X.factor.inv)))
+    return dict(zip(X.columns, _column_r2(X)))

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import ModelMatrix
 from .errors import InsufficientDF, SchemaError
-from .linalg import _point_variances, lstsq
+from .linalg import Factor, _inverse, _point_variances, lstsq
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,7 @@ class FitResult:
     residuals: tuple[float, ...]
     fitted: tuple[float, ...]
     info_inv: np.ndarray
+    factor: Factor = field(repr=False, compare=False)
 
     def coefficient(self, name: str) -> float:
         return self.estimates[self.columns.index(name)]
@@ -30,8 +31,8 @@ class FitResult:
 def ols_fit(X: ModelMatrix, y) -> FitResult:
     """Least-squares fit from one factorization of the model matrix.
 
-    Residuals are orthogonal to every column; se comes from
-    sigma_hat^2 * diag((X'X)^-1). R-squared is computed about the response
+    Residuals are orthogonal to every column; se_j = sigma_hat * |W_j|/D_j;
+    info_inv is (X'X)^-1, read-only. R-squared is computed about the response
     mean when the columns span a constant (intercept or a full simplex
     linear basis), about zero otherwise.
     """
@@ -50,7 +51,6 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
     rss = float(resid @ resid)
     df = n - p
     sigma_hat = np.sqrt(rss / df)
-    se = sigma_hat * np.sqrt(np.diag(f.inv))
     ones = np.ones(n)  # the columns span a constant if ones fits exactly
     if np.max(np.abs(X.data @ lstsq(f, ones) - ones)) <= 1e-8:
         tss = float(np.sum((y - y.mean()) ** 2))
@@ -60,13 +60,13 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
     return FitResult(
         columns=X.columns,
         estimates=tuple(beta.tolist()),
-        se=tuple(se.tolist()),
+        se=tuple((sigma_hat * f.se).tolist()),
         sigma_hat=float(sigma_hat),
         df_residual=df,
         r_squared=float(r2),
         residuals=tuple(resid.tolist()),
         fitted=tuple(fitted.tolist()),
-        info_inv=f.inv)
+        info_inv=_inverse(f), factor=f)
 
 
 def predict(fit: FitResult, X_new: ModelMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -75,8 +75,6 @@ def predict(fit: FitResult, X_new: ModelMatrix) -> tuple[np.ndarray, np.ndarray]
         raise SchemaError(
             f"column mismatch: fit has {fit.columns}, new matrix has "
             f"{X_new.columns}")
-    beta = np.array(fit.estimates)
-    values = X_new.data @ beta
-    variances = fit.sigma_hat ** 2 * _point_variances(X_new.data,
-                                                      fit.info_inv)
-    return values, variances
+    f = fit.factor
+    variances = fit.sigma_hat ** 2 * _point_variances(f, X_new.data / f.norms)
+    return X_new.data @ np.array(fit.estimates), variances

@@ -3,10 +3,10 @@
 The columns of X are first equilibrated to unit norm, Xs = X D^-1, so the
 result does not depend on the units of the columns. Householder QR of Xs
 gives the p x p triangle R (Q is never formed), and the SVD R = U S V'
-gives everything downstream: the rank, det(X'X), (X'X)^-1, least-squares
-solves, and the columns to blame when X is rank deficient (Golub & Van
-Loan, Matrix Computations, ch. 5). (X'X)^-1 is formed here, once per
-factorization, and every report reads it from Factor.inv.
+gives everything downstream: the rank, det(X'X), least-squares solves,
+and the columns to blame when X is rank deficient (Golub & Van Loan,
+Matrix Computations, ch. 5). With (Xs'Xs)^-1 = W W', each v'(X'X)^-1 v is
+|W'(v/D)|^2 and each se is |W_j|/D_j: no raw-unit (X'X)^-1 is formed.
 
 A tall Xs is factored in row blocks (TSQR; Demmel, Grigori, Hoemmen &
 Langou 2012, SIAM J. Sci. Comput. 34(1)): the R of each block of
@@ -39,7 +39,7 @@ class Factor(NamedTuple):
     norms: np.ndarray  # the column norms D
     s: np.ndarray      # singular values of Xs, descending
     W: np.ndarray      # V S^-1, so that (Xs'Xs)^-1 = W W'
-    inv: np.ndarray    # (X'X)^-1 = D^-1 W W' D^-1, symmetric by construction
+    se: np.ndarray     # sqrt((X'X)^-1_jj) = |W_j|/D_j; inf or 0 off range
 
 
 def _dependent(R: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -72,30 +72,46 @@ def factor(X) -> Factor:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    norms = np.linalg.norm(X, axis=0)
-    norms[norms == 0] = 1.0  # a zero column stays zero, so the rank drops
-    Xs = X / norms
-    R = _tall_r(Xs)
-    _, s, Vt = np.linalg.svd(R)
-    p = Xs.shape[1]
-    tol = float(s.max(initial=0.0)) * max(Xs.shape) * _EPS
-    r = int(np.count_nonzero(s > tol))
-    if r < p:
-        cond = s[0] / s[-1] if s.size == p and s[-1] > 0 else np.inf
-        raise SingularMatrix(
-            f"model matrix has rank {r} of {p} columns (equilibrated "
-            f"condition number {cond:.3g})", offending=_dependent(R, tol))
-    W = Vt.T / s
-    Wd = W / norms[:, None]
-    f = Factor(Xs=Xs, norms=norms, s=s, W=W, inv=Wd @ Wd.T)
+    # norms and se read inf or 0 off the float range; where squares may leave
+    # the normal range, a norm is that of the column scaled by 2^-e (exact)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(X, axis=0)
+        for j in np.flatnonzero((norms < 2.0 ** -480) | (norms > 2.0 ** 480)):
+            e = np.frexp(np.abs(X[:, j]).max(initial=0.0))[1]
+            norms[j] = np.ldexp(np.linalg.norm(np.ldexp(X[:, j], -e)), e)
+        norms[norms == 0] = 1.0  # a zero column stays zero: the rank drops
+        Xs = X / norms
+        R = _tall_r(Xs)
+        _, s, Vt = np.linalg.svd(R)
+        p = Xs.shape[1]
+        tol = float(s.max(initial=0.0)) * max(Xs.shape) * _EPS
+        r = int(np.count_nonzero(s > tol))
+        if r < p:
+            cond = s[0] / s[-1] if s.size == p and s[-1] > 0 else np.inf
+            raise SingularMatrix(
+                f"model matrix has rank {r} of {p} columns (equilibrated "
+                f"condition number {cond:.3g})", offending=_dependent(R, tol))
+        W = Vt.T / s
+        f = Factor(Xs, norms, s, W, np.linalg.norm(W, axis=1) / norms)
     for a in f:
         a.flags.writeable = False
     return f
 
 
-def _point_variances(rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """v'(X'X)^-1 v for every row v, given inv = Factor.inv."""
-    return np.sum((rows @ inv) * rows, axis=1)
+def _point_variances(f: Factor, scaled: np.ndarray) -> np.ndarray:
+    """v'(X'X)^-1 v = |W'(v/D)|^2 for each row v/D of scaled; one BLAS call
+    per row, so a point's variance does not depend on its batch."""
+    t = np.matmul(scaled[:, None, :], f.W)[:, 0]
+    return np.square(t, out=t).sum(axis=1)
+
+
+def _inverse(f: Factor) -> np.ndarray:
+    """(X'X)^-1 = D^-1 W W' D^-1 in raw units, read-only; inf/0 off range."""
+    with np.errstate(over="ignore", under="ignore"):
+        Wd = f.W / f.norms[:, None]
+        inv = Wd @ Wd.T
+    inv.flags.writeable = False
+    return inv
 
 
 def det_xtx(f: Factor) -> float:

@@ -34,7 +34,8 @@ from collections.abc import Callable
 import numpy as np
 
 from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec, pair_indices
-from .errors import EmptyDesign, KindMismatch, SpecError, Unsupported
+from .errors import (EmptyDesign, InvalidAmount, KindMismatch, SpecError,
+                     Unsupported)
 
 _EQUAL_TOL = 1e-9
 
@@ -151,9 +152,10 @@ def _check_kind(design: BlockedDesign, spec: ModelSpec) -> None:
 def _coded(V: np.ndarray, A: np.ndarray, kind: str) -> np.ndarray:
     if kind == "proportion":
         return 2.0 * V - 1.0
-    spread = V.max(axis=1) - V.min(axis=1)
-    equal = spread <= _EQUAL_TOL * np.maximum(1.0, np.abs(A))
+    equal = V.max(axis=1) - V.min(axis=1) <= _EQUAL_TOL * np.abs(A)
     V = np.where(equal[:, None], A[:, None], V)  # equal blend coded at total
+    if not A.max() > 0:
+        raise InvalidAmount(f"coding divides by the largest total, {A.max()}")
     return 2.0 * V / A.max() - 1.0
 
 

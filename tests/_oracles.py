@@ -35,6 +35,7 @@ from oamix.errors import (EmptyDesign, EmptySupport, InvalidDesign,
                           InvalidPermutation, SchemaError, SingularMatrix,
                           SupportMismatch)
 from oamix.evaluate import _CHUNK, _MASK64, FDSCurve
+from oamix.linalg import _point_variances
 from oamix.modelmat import build_model_matrix, model_rows
 from oamix.serialize import _INT8_CELLS, _formatted, _header, fmt_num
 
@@ -359,9 +360,9 @@ def fds_curve_per_sample(design: BlockedDesign, spec, n_samples: int,
                          seed: int = 0) -> FDSCurve:
     """The FDS curve built one sample at a time: each sample's simplex
     point, amount, PWO row (pwo_from_run) and block are formed inside the
-    draw loop, and rows and variances are taken in _CHUNK batches."""
-    X = build_model_matrix(design, spec)
-    inv = X.factor.inv
+    draw loop, and rows and variances are taken in _CHUNK batches, with
+    the library's one variance kernel: this checks the draw stream."""
+    f = build_model_matrix(design, spec).factor
     m = design.m
     perms = list(itertools.permutations(range(1, m + 1)))
     levels = design.amount_levels()
@@ -387,7 +388,7 @@ def fds_curve_per_sample(design: BlockedDesign, spec, n_samples: int,
             pwo[i] = pwo_from_run(values[i], order)
             block[i] = 1 + int(rng.integers(2))
         rows = model_rows(spec, m, values, pwo, block, amount)
-        pvs[lo:lo + k] = np.einsum("ij,jk,ik->i", rows, inv, rows)
+        pvs[lo:lo + k] = _point_variances(f, rows / f.norms)
 
     pvs.sort()
     fracs = tuple((i - 0.5) / n_samples for i in range(1, n_samples + 1))

@@ -11,6 +11,7 @@ from oamix.catalog import (CATALOG, _latin_square_blocks, aggarwal_a_oofa,
 from oamix.core import (K_QUADRATIC, SCHEFFE_QUADRATIC, BlockedDesign,
                         ModelSpec, Run, validate_design)
 from oamix.errors import AlreadyExpanded, EmptySupport, InvalidAmount
+from oamix.evaluate import criteria_report
 from oamix.linalg import log_det_xtx
 from oamix.modelmat import build_model_matrix
 from oamix.serialize import write_design_csv
@@ -79,7 +80,7 @@ def test_latin_square_a_optimal_edge_point_depends_on_the_model(family, edge):
 
     def a_criterion(a):
         X = build_model_matrix(_latin_square_blocks(a, 1.0 - a), spec)
-        return float(np.trace(X.factor.inv))
+        return criteria_report(X).a_criterion
 
     best = minimize_scalar(a_criterion, bounds=(0.05, 0.45), method="bounded",
                            options={"xatol": 1e-7})
@@ -160,6 +161,10 @@ def test_ca_projection_unit_scale():
     assert r3.pwo == (0, 1, 0)
     assert r3.amount == pytest.approx(1.0)
     assert d.amount_levels() == pytest.approx((0.24, 0.75, 0.76, 1.0))
+    # the levels are kept at any scale of units, not rounded away
+    tiny = component_amount_projection_design(1e-150).amount_levels()
+    assert tiny == pytest.approx((2.4e-151, 7.5e-151, 7.6e-151, 1e-150),
+                                 rel=1e-12)
 
 
 def test_ca_projection_mg_scale():

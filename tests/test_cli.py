@@ -354,6 +354,31 @@ def test_kind_model_mismatch_is_data_error(tmp_path, capsys):
     assert run_cli("eval", "-i", str(t3), "--model", "ca-q") == 3
 
 
+def test_power_refuses_an_amount_design_whose_totals_are_all_0(tmp_path,
+                                                               capsys):
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("run,a1,a2,a3,z12,z13,z23,block,A\n" + "".join(
+        f"{k},0,0,0,0,0,0,{1 + (k - 1) // 4},0\n" for k in range(1, 9)))
+    code = run_cli("power", "-i", str(zeros), "--model", "ca-l", "--no-pwo",
+                   "--interactions", "none")
+    assert code == 3
+    assert "divides by the largest total, 0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["ca-q", "ca-l"])
+@pytest.mark.parametrize("a_max", ["1.5e-154", "1.3e154"])
+def test_eval_at_the_edges_of_the_catalog_amount_range(tmp_path, capsys,
+                                                       a_max, model):
+    # RuntimeWarning is an error here, so an overflow would raise
+    design = catalog_file(tmp_path, "ca-projection", "--a-max", a_max)
+    capsys.readouterr()
+    for extra in ((), ("--json",)):
+        code = run_cli("eval", "-i", str(design), "--model", model, *extra)
+        err = capsys.readouterr().err
+        assert code == 0 and not err or code in (3, 4) and err.startswith(
+            ("error: ", "numerical error: "))
+
+
 def test_block_column_with_three_blocks_is_rejected(tmp_path, capsys):
     runs = tuple(Run(r.values, r.pwo, 1 + k % 3)
                  for k, r in enumerate(czitrom_d_oofa().runs))

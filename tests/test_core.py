@@ -256,7 +256,7 @@ def test_model_matrix_factor_is_cached_and_read_only():
     assert X.factor is f
     assert not any(a.flags.writeable for a in f)
     with pytest.raises(ValueError):
-        f.inv[0, 0] = 1.0
+        f.W[0, 0] = 1.0
 
 
 def test_singular_model_matrix_names_columns_on_every_access():

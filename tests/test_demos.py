@@ -25,7 +25,9 @@ def test_demo_runs(tmp_path, demo):
     script = tmp_path / demo.name
     shutil.copy(demo, script)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+    # the rule pyproject's filterwarnings sets for in-process tests
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr

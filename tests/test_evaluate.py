@@ -21,6 +21,7 @@ from oamix.evaluate import (FDS_SAMPLER, check_orthogonal_blocking,
                             criteria_report, fds_curve, power_table,
                             term_r_squared)
 from oamix.fit import ols_fit, predict
+from oamix.linalg import _inverse, _point_variances
 from oamix.modelmat import (build_model_matrix, coded_model_matrix,
                             column_names, default_interaction_subset,
                             full_interaction_set)
@@ -299,7 +300,8 @@ def test_analyses_of_one_matrix_share_one_factorization(factor_calls, design,
     fit = ols_fit(X, y)
     predict(fit, X)
     assert factor_calls == [X.data.shape]
-    assert fit.info_inv is X.factor.inv  # the one inverse, not a copy
+    assert not fit.info_inv.flags.writeable
+    np.testing.assert_array_equal(fit.info_inv, _inverse(X.factor))
 
 
 def test_singular_matrix_names_columns_on_every_call(qr_calls, factor_calls):
@@ -390,6 +392,64 @@ def test_ca_projection_results_do_not_depend_on_the_amount_unit(log_a_max):
     planted = np.linspace(-1.0, 1.0, X.p)
     fit = ols_fit(X, X.data @ (planted / norms))
     assert np.max(np.abs(np.array(fit.estimates) * norms - planted)) <= 1e-10
+
+
+CA_UNIT = build_model_matrix(component_amount_projection_design(1.0), CA_SPEC)
+CA_UNIT_FDS = fds_curve(component_amount_projection_design(1.0), CA_SPEC, 64,
+                        seed=3).variances
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_a_max=st.floats(-150.0, 150.0))
+def test_no_result_depends_on_the_amount_unit_over_300_decades(log_a_max):
+    # RuntimeWarning is an error here: no overflow, underflow or rank loss
+    design = component_amount_projection_design(10.0 ** log_a_max)
+    X = build_model_matrix(design, CA_SPEC)
+    rep, unit = criteria_report(X), criteria_report(CA_UNIT)
+    assert X.factor.s.size == 17
+    for key in ("g_efficiency", "max_pv", "avg_pv"):
+        assert getattr(rep, key) == pytest.approx(getattr(unit, key),
+                                                  rel=1e-12)
+    assert 2.0 * np.sum(np.log(X.factor.s)) == pytest.approx(
+        2.0 * np.sum(np.log(CA_UNIT.factor.s)), rel=1e-12)
+    # the sampled totals are the design's levels to 12 significant digits
+    curve = fds_curve(design, CA_SPEC, 64, seed=3)
+    np.testing.assert_allclose(curve.variances, CA_UNIT_FDS, rtol=1e-9)
+
+
+@pytest.mark.parametrize("a_max", [1e-150, 1e-12, 1e12, 1e150])
+def test_coded_tables_do_not_depend_on_the_amount_unit(a_max):
+    # below a total of 1 the equal-blend test is relative to the total too
+    unit = coded_model_matrix(component_amount_projection_design(1.0),
+                              CA_SPEC)
+    X = coded_model_matrix(component_amount_projection_design(a_max),
+                           CA_SPEC)
+    np.testing.assert_allclose(X.data, unit.data, rtol=1e-12, atol=1e-12)
+    got, want = power_table(X), power_table(unit)
+    for name in X.columns:
+        assert got[name] == pytest.approx(want[name], rel=1e-9)
+
+
+def test_a_point_variance_does_not_depend_on_its_batch():
+    # 1025 design rows, each scaled, evaluated together and one at a time
+    X = build_model_matrix(czitrom_d_oofa(), scheffe_spec())
+    rng = np.random.default_rng(1025)
+    pts = X.data[rng.integers(X.n, size=1025)] * rng.uniform(0.1, 10.0,
+                                                             (1025, 1))
+    f = X.factor
+    alone = np.array([_point_variances(f, pts[i:i + 1] / f.norms)[0]
+                      for i in range(len(pts))])
+    np.testing.assert_array_equal(_point_variances(f, pts / f.norms), alone)
+    reports = [criteria_report(X, pts[i:i + 1]) for i in range(len(pts))]
+    assert [r.max_pv for r in reports] == alone.tolist()
+    rep = criteria_report(X, pts)
+    assert (rep.max_pv, rep.avg_pv) == (alone.max(), alone.mean())
+    fit = ols_fit(X, np.arange(X.n, dtype=float))
+    _, together = predict(fit, ModelMatrix(X.columns, pts))
+    one_by_one = [predict(fit, ModelMatrix(X.columns, pts[i:i + 1]))[1][0]
+                  for i in range(len(pts))]
+    assert together.tolist() == one_by_one
+    np.testing.assert_array_equal(together, fit.sigma_hat ** 2 * alone)
 
 
 def _labels_swapped(design):

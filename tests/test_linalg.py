@@ -4,19 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import cofactor_det, cofactor_inverse, direct_factor
 from oamix.errors import SingularMatrix
-from oamix.linalg import _BLOCK_ROWS, det_xtx, factor, lstsq
+from oamix.linalg import _BLOCK_ROWS, _inverse, det_xtx, factor, lstsq
 
 
 def test_det_inv_diagonal():
     f = factor(np.diag([2.0, 4.0]))
     assert det_xtx(f) == pytest.approx(64.0)
-    assert np.allclose(f.inv, np.diag([0.25, 0.0625]))
+    assert np.allclose(_inverse(f), np.diag([0.25, 0.0625]))
 
 
 def test_det_inv_identity():
     f = factor(np.eye(5))
     assert det_xtx(f) == pytest.approx(1.0)
-    assert np.allclose(f.inv, np.eye(5))
+    assert np.allclose(_inverse(f), np.eye(5))
 
 
 def test_det_matches_cofactor_oracle():
@@ -34,14 +34,17 @@ def test_inverse_matches_cofactor_oracle():
         M = rng.uniform(-1, 1, (9, 5))
         inv_oracle = cofactor_inverse(M.T @ M)
         scale = max(1.0, float(np.abs(inv_oracle).max()))
-        assert np.max(np.abs(factor(M).inv - inv_oracle)) <= 1e-9 * scale
+        f = factor(M)
+        assert np.max(np.abs(_inverse(f) - inv_oracle)) <= 1e-9 * scale
+        np.testing.assert_allclose(f.se, np.sqrt(np.diag(inv_oracle)),
+                                   rtol=1e-9)
 
 
 def test_inverse_residual_small():
     rng = np.random.default_rng(13)
     for _ in range(10):
         M = rng.uniform(-1, 1, (8, 8)) + 8 * np.eye(8)
-        inv = factor(M).inv
+        inv = _inverse(factor(M))
         assert np.max(np.abs(M.T @ M @ inv - np.eye(8))) <= 1e-8
 
 
@@ -85,17 +88,30 @@ def test_column_units_do_not_change_the_answer():
     f, fu = factor(X), factor(X * units)
     assert det_xtx(fu) == pytest.approx(det_xtx(f) * np.prod(units) ** 2,
                                         rel=1e-12)
-    assert np.allclose(fu.inv * np.outer(units, units), f.inv,
+    assert np.allclose(_inverse(fu) * np.outer(units, units), _inverse(f),
                        rtol=1e-12, atol=0)
+    np.testing.assert_allclose(fu.se * units, f.se, rtol=1e-12)
     y = rng.normal(size=12)
     assert np.allclose(lstsq(fu, y) * units, lstsq(f, y), rtol=1e-12,
                        atol=0)
 
 
+def test_column_norms_hold_where_squares_leave_the_float_range():
+    # units whose squares overflow or underflow; RuntimeWarning is an
+    # error here
+    rng = np.random.default_rng(37)
+    X = rng.normal(size=(600, 5))
+    units = 2.0 ** np.array([-1000, -520, 0, 520, 1000])
+    f, fu = factor(X), factor(X * units)
+    np.testing.assert_allclose(fu.norms, f.norms * units, rtol=1e-14)
+    np.testing.assert_allclose(fu.s, f.s, rtol=1e-13)
+    np.testing.assert_allclose(fu.se * units, f.se, rtol=1e-13)
+
+
 def test_symmetric_inverse_is_symmetric():
     rng = np.random.default_rng(29)
     A = rng.normal(size=(7, 7)) + 7 * np.eye(7)
-    inv = factor(A).inv
+    inv = _inverse(factor(A))
     assert np.max(np.abs(inv - inv.T)) <= 1e-10
 
 
@@ -162,7 +178,7 @@ def test_blocked_factor_matches_one_direct_qr(X):
         return  # agreement to 1e-10 is promised on well-conditioned X only
     np.testing.assert_allclose(f.s, s, rtol=1e-10)
     d = np.sqrt(np.diag(inv))
-    assert np.abs((f.inv - inv) / np.outer(d, d)).max() <= 1e-10
+    assert np.abs((_inverse(f) - inv) / np.outer(d, d)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n, calls", [(2 * _BLOCK_ROWS, 1),
@@ -179,4 +195,4 @@ def test_only_matrices_past_two_blocks_are_factored_in_blocks(
     f = factor(X)
     assert len(seen) == calls + 1  # and one by direct_factor
     np.testing.assert_allclose(f.s, s, rtol=1e-12)
-    np.testing.assert_allclose(f.inv, inv, rtol=1e-12)
+    np.testing.assert_allclose(_inverse(f), inv, rtol=1e-12)
