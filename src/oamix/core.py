@@ -227,8 +227,9 @@ class ModelMatrix:
     before any polynomial or interaction term is formed.
 
     factor is the one factorization of data, made on first use and shared
-    by every analysis of this matrix; data is a private read-only copy, so
-    it cannot go stale; its factor holds no raw-unit (X'X)^-1 (see linalg).
+    by every analysis of this matrix, and so are the prediction variances
+    of its own rows; data is a private read-only copy, so neither can go
+    stale; its factor holds no raw-unit (X'X)^-1 (see linalg).
     """
 
     columns: tuple[str, ...]
@@ -240,6 +241,8 @@ class ModelMatrix:
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[1] != len(self.columns):
             raise SpecError("model matrix shape does not match column names")
+        if not self.columns:
+            raise SpecError("model matrix has no columns")
         if len(set(self.columns)) != len(self.columns):
             raise SpecError("duplicate column names in model matrix")
         data = data.copy()
@@ -260,10 +263,9 @@ class ModelMatrix:
     @functools.cached_property
     def _factored(self) -> linalg.Factor | SingularMatrix:
         try:
-            return linalg.factor(self.data)
+            return linalg.factor(self.data, self.columns)
         except SingularMatrix as e:
-            return SingularMatrix(e.args[0], e.offending, tuple(
-                self.columns[i] for i in e.offending if i < self.p))
+            return e.with_traceback(None)
 
     @property
     def factor(self) -> linalg.Factor:
@@ -274,6 +276,15 @@ class ModelMatrix:
         if isinstance(f, SingularMatrix):
             raise SingularMatrix(f.args[0], f.offending, f.names)
         return f
+
+    @functools.cached_property
+    def _own_variances(self) -> np.ndarray:
+        """v'(X'X)^-1 v for each row v of data, read-only; made once for
+        criteria_report and for predict at the fitted matrix itself."""
+        f = self.factor
+        pv = linalg._point_variances(f, f.Xs)
+        pv.flags.writeable = False
+        return pv
 
 
 class Violation(NamedTuple):
@@ -411,7 +422,9 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
                 lambda r, _: "amount kind requires a total amount")
             # a non-finite amount is reported once, above
             finite_a = has & np.isfinite(A)
-            add(4, "amount_mismatch", finite_a & (np.abs(A - s) > AMOUNT_SUM_TOL),
+            # relative above 1, so that printed digits hold at any scale
+            tol = AMOUNT_SUM_TOL * np.maximum(1.0, np.abs(A))
+            add(4, "amount_mismatch", finite_a & (np.abs(A - s) > tol),
                 lambda r, _: f"amount {float(A[r])} != value sum {float(s[r])}")
             add(5, "negative_amount", finite_a & (A < 0),
                 lambda r, _: f"amount {float(A[r])} < 0")

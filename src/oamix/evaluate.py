@@ -170,14 +170,18 @@ def criteria_report(X: ModelMatrix,
     """
     f = X.factor
     n, p = X.n, X.p
-    pts = f.Xs if eval_points is None else np.asarray(eval_points, float)
-    if pts.ndim != 2 or pts.shape[1] != p or not len(pts):
-        raise SchemaError(f"eval points have shape {pts.shape}; the model "
-                          f"matrix needs one or more rows of {p} columns")
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise SchemaError(f"eval point row {bad[0] + 1} is not finite")
-    pv = _point_variances(f, pts if eval_points is None else pts / f.norms)
+    if eval_points is None:
+        pv = X._own_variances
+    else:
+        pts = np.asarray(eval_points, float)
+        if pts.ndim != 2 or pts.shape[1] != p or not len(pts):
+            raise SchemaError(f"eval points have shape {pts.shape}; the "
+                              f"model matrix needs one or more rows of {p} "
+                              "columns")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise SchemaError(f"eval point row {bad[0] + 1} is not finite")
+        pv = _point_variances(f, pts / f.norms)
     max_pv = float(pv.max())
     df = n - p
     power = (_power(f.se, df, 0.05, 2.0) if df > 0

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ModelMatrix
-from .errors import InsufficientDF, SchemaError
+from .errors import InsufficientDF, SchemaError, Unsupported
 from .linalg import Factor, _inverse, _point_variances, lstsq
 
 
@@ -34,7 +34,8 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
     Residuals are orthogonal to every column; se_j = sigma_hat * |W_j|/D_j;
     info_inv is (X'X)^-1, read-only. R-squared is computed about the response
     mean when the columns span a constant (intercept or a full simplex
-    linear basis), about zero otherwise.
+    linear basis), about zero otherwise. An estimate past the float range
+    (a column in tiny units) raises Unsupported naming its column.
     """
     y = np.asarray(y, dtype=float)
     n, p = X.n, X.p
@@ -46,6 +47,11 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
         raise InsufficientDF(f"n={n} <= p={p}")
     f = X.factor  # raises SingularMatrix with column names
     beta = lstsq(f, y)
+    huge = np.flatnonzero(~np.isfinite(beta)).tolist()
+    if huge:
+        raise Unsupported(
+            f"the estimates of columns {', '.join(X.columns[j] for j in huge)}"
+            " are past the largest float: scale their units up")
     fitted = X.data @ beta
     resid = y - fitted
     rss = float(resid @ resid)
@@ -76,5 +82,9 @@ def predict(fit: FitResult, X_new: ModelMatrix) -> tuple[np.ndarray, np.ndarray]
             f"column mismatch: fit has {fit.columns}, new matrix has "
             f"{X_new.columns}")
     f = fit.factor
-    variances = fit.sigma_hat ** 2 * _point_variances(f, X_new.data / f.norms)
-    return X_new.data @ np.array(fit.estimates), variances
+    # the fitted matrix itself; read without factoring any other matrix
+    if vars(X_new).get("_factored") is f:
+        pv = X_new._own_variances
+    else:
+        pv = _point_variances(f, X_new.data / f.norms)
+    return X_new.data @ np.array(fit.estimates), fit.sigma_hat ** 2 * pv

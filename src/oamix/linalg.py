@@ -8,14 +8,24 @@ and the columns to blame when X is rank deficient (Golub & Van Loan,
 Matrix Computations, ch. 5). With (Xs'Xs)^-1 = W W', each v'(X'X)^-1 v is
 |W'(v/D)|^2 and each se is |W_j|/D_j: no raw-unit (X'X)^-1 is formed.
 
-A tall Xs is factored in row blocks (TSQR; Demmel, Grigori, Hoemmen &
-Langou 2012, SIAM J. Sci. Comput. 34(1)): the R of each block of
-_BLOCK_ROWS rows, then the R of those stacked triangles. With more than
-one BLAS thread, a single QR of a tall, skinny matrix spends much of its
-time handing panels between threads; cache-sized blocks do not (730 x 32:
-0.55 -> 0.31 ms at 2 OpenBLAS threads on a 2-core x86 box). The result is
-the same backward-stable R up to the signs of its rows, which leave the
-singular values and W W' unchanged. Shorter matrices take one QR call.
+Above _CHOLQR_ROWS rows, R comes from CholeskyQR2 (Fukaya, Nakatsukasa,
+Yanagisawa & Yamamoto 2014, ScalA; error analysis in Yamamoto et al. 2015,
+ETNA 44): R1 = chol(Xs'Xs), Q = Xs R1^-1, R = chol(Q'Q) R1, with the p x p
+R1^-1 formed once. Its three products over the n rows are BLAS-3, where
+a Householder QR of a tall, skinny matrix runs as BLAS-2 and spends much
+of its time handing panels between threads (1632 x 44, best of 50 at 2
+OpenBLAS threads on a 2-core x86 box: 2.6 ms for the QR, 1.2 ms for
+CholeskyQR2 and the SVD of its R). CholeskyQR2 holds until the first
+Cholesky factorization fails near cond(Xs) = eps^-1/2 (about 1e8); its R
+is kept only when the SVD of R puts cond(Xs) at _CHOLQR_COND or below. On
+300 random and structured matrices of 513-2000 rows, up to 44 columns and
+cond(Xs) up to 1e6, its (Xs'Xs)^-1 agreed with that of one Householder QR
+to within cond(Xs) * eps, the accuracy of either. A failed Cholesky
+factorization, a larger condition number and every matrix of at most
+_CHOLQR_ROWS rows take one Householder QR, so singular and ill-conditioned
+matrices get the rank and dependent columns of a backward-stable R. Both
+R are the same up to the signs of their rows, which leave the singular
+values and W W' unchanged.
 """
 
 from __future__ import annotations
@@ -27,9 +37,10 @@ import numpy as np
 from .errors import SingularMatrix
 
 _EPS = np.finfo(float).eps
-# rows per block of the row-blocked QR; up to twice as many rows are
-# factored in one call
-_BLOCK_ROWS = 256
+# matrices of more rows take R from CholeskyQR2, if it is well conditioned
+_CHOLQR_ROWS = 512
+# the largest cond(Xs) at which a CholeskyQR2 R is kept
+_CHOLQR_COND = 1e5
 
 
 class Factor(NamedTuple):
@@ -55,19 +66,32 @@ def _dependent(R: np.ndarray, tol: float) -> tuple[int, ...]:
     return tuple(dep)
 
 
-def _tall_r(Xs: np.ndarray) -> np.ndarray:
-    """The triangle R of Xs = QR, up to row signs; see the module doc."""
-    if len(Xs) <= 2 * _BLOCK_ROWS:
-        return np.linalg.qr(Xs, mode="r")
-    return np.linalg.qr(np.vstack([
-        np.linalg.qr(Xs[i:i + _BLOCK_ROWS], mode="r")
-        for i in range(0, len(Xs), _BLOCK_ROWS)]), mode="r")
+def _r_and_svd(Xs: np.ndarray):
+    """The triangle R of Xs = QR, up to row signs, and the singular values
+    and right singular vectors of R; see the module doc."""
+    if len(Xs) > _CHOLQR_ROWS:
+        try:
+            R1 = np.linalg.cholesky(Xs.T @ Xs).T
+            Q = Xs @ np.linalg.inv(R1)
+            R = np.linalg.cholesky(Q.T @ Q).T @ R1
+        except np.linalg.LinAlgError:
+            pass  # not positive definite to working precision
+        else:
+            _, s, Vt = np.linalg.svd(R)
+            if s.max(initial=0.0) <= _CHOLQR_COND * s.min(initial=np.inf):
+                return R, s, Vt
+    R = np.linalg.qr(Xs, mode="r")
+    _, s, Vt = np.linalg.svd(R)
+    return R, s, Vt
 
 
-def factor(X) -> Factor:
-    """Factor X once; SingularMatrix names the dependent columns.
+def factor(X, names: tuple[str, ...] = ()) -> Factor:
+    """Factor X once; SingularMatrix names the dependent columns, by names
+    (one per column) where given.
 
-    The rank counts the singular values of Xs above s_max*max(n, p)*eps.
+    The rank counts the singular values of Xs above s_max*max(n, p)*eps. A
+    column whose norm is past the largest float counts as zero; the refusal
+    names it and says so.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -81,16 +105,24 @@ def factor(X) -> Factor:
             norms[j] = np.ldexp(np.linalg.norm(np.ldexp(X[:, j], -e)), e)
         norms[norms == 0] = 1.0  # a zero column stays zero: the rank drops
         Xs = X / norms
-        R = _tall_r(Xs)
-        _, s, Vt = np.linalg.svd(R)
+        R, s, Vt = _r_and_svd(Xs)
         p = Xs.shape[1]
         tol = float(s.max(initial=0.0)) * max(Xs.shape) * _EPS
         r = int(np.count_nonzero(s > tol))
         if r < p:
             cond = s[0] / s[-1] if s.size == p and s[-1] > 0 else np.inf
-            raise SingularMatrix(
-                f"model matrix has rank {r} of {p} columns (equilibrated "
-                f"condition number {cond:.3g})", offending=_dependent(R, tol))
+            message = (f"model matrix has rank {r} of {p} columns "
+                       f"(equilibrated condition number {cond:.3g})")
+            huge = [names[j] if names else str(j)
+                    for j in np.flatnonzero(np.isinf(norms)).tolist()]
+            if huge:
+                message += (f"; the norms of columns {', '.join(huge)} are "
+                            "past the largest float, so they count as zero: "
+                            "scale their units down")
+            dep = _dependent(R, tol)
+            raise SingularMatrix(message, offending=dep,
+                                 names=tuple(names[j] for j in dep) if names
+                                 else ())
         W = Vt.T / s
         f = Factor(Xs, norms, s, W, np.linalg.norm(W, axis=1) / norms)
     for a in f:
@@ -131,10 +163,11 @@ def lstsq(f: Factor, y) -> np.ndarray:
 
     Corrected semi-normal equations: solve R'R x = Xs'y, then one
     refinement step on the residual, which restores the accuracy of a QR
-    solve without forming Q.
+    solve without forming Q. A coefficient past the float range reads inf.
     """
     y = np.asarray(y, dtype=float)
     x = f.W @ (f.W.T @ (f.Xs.T @ y))
     r = y - f.Xs @ x
     x += f.W @ (f.W.T @ (f.Xs.T @ r))
-    return x / f.norms
+    with np.errstate(over="ignore"):
+        return x / f.norms

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own linear-algebra kernel so that
 agreement between the two is evidence, not tautology; direct_factor is the
-kernel's recipe with one QR call over the whole matrix in place of the
-kernel's row blocks. The per-run design oracles (expansion, CSV writing,
-structural validation) loop over Run objects one at a time, the way the
+kernel's recipe with one Householder QR call over the whole matrix in
+place of the kernel's CholeskyQR2 for tall matrices. The per-run design
+oracles (expansion, CSV writing, structural validation) loop over Run
+objects one at a time, the way the
 library did before designs were held as columns. The design-file reader
 converts one cell at a time with float(), the way the library did before
 it read files with np.loadtxt, and design_csv_per_row is the columnar
@@ -264,7 +265,8 @@ def run_violations(m: int, kind: str, runs, n_blocks: int,
                                      "amount kind requires a total amount"))
             elif math.isfinite(run.amount):
                 s = sum(run.values)
-                if abs(run.amount - s) > AMOUNT_SUM_TOL:
+                if abs(run.amount - s) > AMOUNT_SUM_TOL * max(1.0,
+                                                              abs(run.amount)):
                     out.append(Violation(
                         idx, "amount_mismatch",
                         f"amount {run.amount} != value sum {s}"))

@@ -9,8 +9,9 @@ import pytest
 
 from oamix.catalog import czitrom_d_oofa, component_amount_projection_design
 from oamix.cli import main
-from oamix.core import BlockedDesign, Run
-from oamix.evaluate import FDS_SAMPLER
+from oamix.core import BlockedDesign, ModelSpec, Run
+from oamix.evaluate import FDS_SAMPLER, criteria_report
+from oamix.modelmat import build_model_matrix, default_interaction_subset
 from oamix.serialize import parse_design_csv, write_design_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -377,6 +378,34 @@ def test_eval_at_the_edges_of_the_catalog_amount_range(tmp_path, capsys,
         err = capsys.readouterr().err
         assert code == 0 and not err or code in (3, 4) and err.startswith(
             ("error: ", "numerical error: "))
+
+
+@pytest.mark.parametrize("a_max", ["1e20", "1e50", "1e100", "3e150"])
+def test_large_amount_designs_survive_the_file_round_trip(tmp_path, capsys,
+                                                          a_max):
+    # cells keep 6 digits: a total and its value sum agree only relatively
+    path = catalog_file(tmp_path, "ca-projection", "--a-max", a_max)
+    design = parse_design_csv(path.read_text())
+    unit = parse_design_csv(catalog_file(tmp_path, "ca-projection",
+                                         "--a-max", "1").read_text())
+    spec = ModelSpec("component_amount_quadratic", include_pwo=True,
+                     interaction_terms=default_interaction_subset(3),
+                     include_block=True)
+    got, want = (criteria_report(build_model_matrix(d, spec))
+                 for d in (design, unit))
+    assert got.g_efficiency == pytest.approx(want.g_efficiency, rel=1e-12)
+    capsys.readouterr()
+    assert run_cli("eval", "-i", str(path), "--model", "ca-q") == 0
+    assert not capsys.readouterr().err
+
+
+def test_eval_names_the_columns_whose_norms_pass_the_largest_float(
+        tmp_path, capsys):
+    path = catalog_file(tmp_path, "ca-projection", "--a-max", "1.3e154")
+    capsys.readouterr()
+    assert run_cli("eval", "-i", str(path), "--model", "ca-q") == 4
+    assert ("; the norms of columns a1^2, a2^2, a3^2 are past the largest "
+            "float, so they count as zero") in capsys.readouterr().err
 
 
 def test_block_column_with_three_blocks_is_rejected(tmp_path, capsys):

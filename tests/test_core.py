@@ -241,6 +241,9 @@ def test_modelmatrix_checks_names_and_shape():
         ModelMatrix(("a", "a"), np.zeros((2, 2)))
     with pytest.raises(SpecError):
         ModelMatrix(("a", "b", "c"), np.zeros((2, 2)))
+    for rows in (0, 3):
+        with pytest.raises(SpecError, match="no columns"):
+            ModelMatrix((), np.zeros((rows, 0)))
 
 
 def test_modelmatrix_is_read_only():

@@ -1,9 +1,15 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
-from oamix.catalog import czitrom_d_oofa
-from oamix.core import ModelMatrix, ModelSpec
-from oamix.errors import InsufficientDF, SchemaError
+import oamix.fit
+from oamix.catalog import (component_amount_projection_design, czitrom_d_oofa,
+                           oofa_expand)
+from oamix.core import BlockedDesign, ModelMatrix, ModelSpec, Run
+from oamix.errors import InsufficientDF, SchemaError, Unsupported
+from oamix.evaluate import criteria_report
 from oamix.fit import ols_fit, predict
 from oamix.modelmat import build_model_matrix, default_interaction_subset
 
@@ -122,3 +128,58 @@ def test_noiseless_prediction_matches_truth():
     values, variances = predict(fit, X)
     assert values == pytest.approx(X.data @ beta0, abs=1e-8)
     assert np.max(variances) <= 1e-12
+
+
+def lattice_6_4_matrix():
+    """The {6, 4} simplex lattice in two blocks, expanded over addition
+    orders: 1632 runs, k_quadratic with PWO and block columns (p = 37)."""
+    pts = [tuple(c / 4 for c in combo)
+           for combo in itertools.product(range(5), repeat=6)
+           if sum(combo) == 4]
+    base = BlockedDesign(m=6, kind="proportion", n_blocks=2, runs=[
+        Run(x, (0,) * 15, b) for b in (1, 2) for x in pts])
+    X = build_model_matrix(oofa_expand(base), ModelSpec(
+        "k_quadratic", include_pwo=True, include_block=True))
+    assert (X.n, X.p) == (1632, 37)
+    return X
+
+
+@pytest.mark.parametrize("make", [lattice_6_4_matrix, t3_matrix])
+def test_own_row_variances_are_made_once_for_criteria_and_predict(
+        monkeypatch, make):
+    X = make()
+    rng = np.random.default_rng(X.n)
+    fit = ols_fit(X, 10.0 + rng.normal(size=X.n))
+    own = X._own_variances
+    values, variances = predict(fit, X)
+    np.testing.assert_array_equal(variances, fit.sigma_hat ** 2 * own)
+    np.testing.assert_array_equal(values, fit.fitted)
+    assert criteria_report(X).max_pv == own.max()
+    # a matrix built apart, equal or not, takes the kernel
+    calls = []
+    kernel = oamix.fit._point_variances
+    monkeypatch.setattr(oamix.fit, "_point_variances",
+                        lambda f, rows: calls.append(len(rows)) or
+                        kernel(f, rows))
+    apart = ModelMatrix(X.columns, X.data)
+    np.testing.assert_array_equal(predict(fit, apart)[1], variances)
+    assert calls == [X.n] and "_factored" not in vars(apart)
+    pts = X.data[:3].copy()
+    pts[1, 0] = np.nan
+    with pytest.raises(SchemaError, match="row 2 is not finite"):
+        criteria_report(X, pts)
+
+
+def test_fit_refuses_estimates_past_the_float_range():
+    # squared amounts near 1e-308: their estimates would overflow
+    spec = ModelSpec("component_amount_quadratic", include_pwo=True,
+                     interaction_terms=default_interaction_subset(3),
+                     include_block=True)
+    X = build_model_matrix(component_amount_projection_design(1.5e-154), spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Unsupported) as exc:
+            ols_fit(X, np.arange(36.0))
+    assert str(exc.value).startswith(
+        "the estimates of columns a1^2, a2^2, a3^2, a1*a2, a1*a3, a2*a3 are "
+        "past the largest float")

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import cofactor_det, cofactor_inverse, direct_factor
 from oamix.errors import SingularMatrix
-from oamix.linalg import _BLOCK_ROWS, _inverse, det_xtx, factor, lstsq
+from oamix.linalg import _CHOLQR_ROWS, _inverse, det_xtx, factor, lstsq
 
 
 def test_det_inv_diagonal():
@@ -147,13 +147,13 @@ def test_dependent_columns_and_rank():
 
 @st.composite
 def tall_matrices(draw):
-    """n x p, p up to 44 and n from p to 1700, on both sides of the 2 x
-    _BLOCK_ROWS rows above which factor works in row blocks: seeded normal
+    """n x p, p up to 44 and n from p to 1700, on both sides of the
+    _CHOLQR_ROWS rows above which factor tries CholeskyQR2: seeded normal
     or {-1, 0, 1} entries, up to two columns zeroed or copied (scaled),
     and column scales spread over six decades."""
     p = draw(st.integers(1, 44))
-    n = draw(st.one_of(st.integers(p, 2 * _BLOCK_ROWS),
-                       st.integers(2 * _BLOCK_ROWS + 1, 1700)))
+    n = draw(st.one_of(st.integers(p, _CHOLQR_ROWS),
+                       st.integers(_CHOLQR_ROWS + 1, 1700)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     X = (rng.normal(size=(n, p)) if draw(st.booleans())
          else rng.integers(-1, 2, size=(n, p)).astype(float))
@@ -165,7 +165,7 @@ def tall_matrices(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(tall_matrices())
-def test_blocked_factor_matches_one_direct_qr(X):
+def test_tall_factor_matches_one_direct_qr(X):
     try:
         s, inv = direct_factor(X)
     except SingularMatrix as e:
@@ -181,18 +181,35 @@ def test_blocked_factor_matches_one_direct_qr(X):
     assert np.abs((_inverse(f) - inv) / np.outer(d, d)).max() <= 1e-10
 
 
-@pytest.mark.parametrize("n, calls", [(2 * _BLOCK_ROWS, 1),
-                                      (2 * _BLOCK_ROWS + 1, 4),
-                                      (4 * _BLOCK_ROWS, 5)])
-def test_only_matrices_past_two_blocks_are_factored_in_blocks(
-        monkeypatch, n, calls):
-    qr = np.linalg.qr
-    seen = []
-    monkeypatch.setattr(np.linalg, "qr",
-                        lambda A, mode: seen.append(A.shape) or qr(A, mode))
-    X = np.random.default_rng(31).normal(size=(n, 5))
-    s, inv = direct_factor(X)
-    f = factor(X)
-    assert len(seen) == calls + 1  # and one by direct_factor
-    np.testing.assert_allclose(f.s, s, rtol=1e-12)
-    np.testing.assert_allclose(_inverse(f), inv, rtol=1e-12)
+def _tall(kind):
+    """A tall matrix of 5 columns: well conditioned just past and at twice
+    _CHOLQR_ROWS rows, or, past them, singular or with cond(Xs) ~ 1e7."""
+    rng = np.random.default_rng(31)
+    n = 2 * _CHOLQR_ROWS if kind == "twice" else _CHOLQR_ROWS + 1
+    X = rng.normal(size=(n, 5))
+    if kind == "singular":
+        X[:, 3] = X[:, 0] - 2.0 * X[:, 1]
+    elif kind == "ill":
+        X[:, 4] = X[:, 0] + 1e-7 * X[:, 4]
+    return X
+
+
+@pytest.mark.parametrize("kind, calls", [("past", 0), ("twice", 0),
+                                         ("singular", 1), ("ill", 1)])
+def test_only_ill_conditioned_tall_matrices_take_a_householder_qr(
+        qr_calls, kind, calls):
+    X = _tall(kind)
+    try:
+        s, inv = direct_factor(X)
+    except SingularMatrix as e:
+        del qr_calls[:]
+        with pytest.raises(SingularMatrix) as got:
+            factor(X)
+        assert got.value.offending == e.offending == (3,)
+    else:
+        del qr_calls[:]
+        f = factor(X)
+        assert (s[0] / s[-1] > 1e6) == (kind == "ill")
+        np.testing.assert_allclose(f.s, s, rtol=1e-12)
+        np.testing.assert_allclose(_inverse(f), inv, rtol=1e-12)
+    assert len(qr_calls) == calls
