@@ -18,7 +18,7 @@ from . import catalog as cat
 from .core import (COMPONENT_AMOUNT_LINEAR, COMPONENT_AMOUNT_QUADRATIC,
                    K_QUADRATIC, MIXTURE_AMOUNT_LINEAR,
                    MIXTURE_AMOUNT_QUADRATIC, SCHEFFE_QUADRATIC, ModelSpec)
-from .errors import InsufficientDF, OamixError, SingularMatrix, Unsupported
+from .errors import InsufficientDF, OamixError, SingularMatrix
 
 # Each command imports the modules it needs inside its handler, so that a
 # fresh process compiles and runs only those: catalog and expand never load
@@ -49,16 +49,14 @@ def _resolve_interactions(arg: str, m: int, include_pwo: bool):
 
     `default` is the standard 3-component subset (empty when m != 3 or the
     model has no pairwise columns); `none` and `full` as named; otherwise a
-    comma list like `1:12,1:13,2:23`.
+    comma list like `1:12,1:13,2:23`. Only `default` yields to --no-pwo:
+    ModelSpec refuses any other interaction without pairwise columns.
     """
     from .modelmat import default_interaction_subset, full_interaction_set
-    if not include_pwo or arg == "none":
+    if arg == "none" or (arg == "default" and (m != 3 or not include_pwo)):
         return ()
     if arg == "default":
-        try:
-            return default_interaction_subset(m)
-        except Unsupported:
-            return ()
+        return default_interaction_subset(m)
     if arg == "full":
         return full_interaction_set(m)
     terms = []
@@ -231,33 +229,13 @@ def _cmd_fds(args) -> int:
     return 0
 
 
-def _read_response(path: str, n: int):
-    from .serialize import _number  # the design-file number rule
-    vals = []
-    for lineno, line in enumerate(_read(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        cell = line.split(",")[-1].strip()
-        try:
-            vals.append(_number(cell))
-        except ValueError:
-            if lineno == 1:
-                continue  # header row
-            raise OamixError(f"response line {lineno}: not a number: {cell!r}")
-    if len(vals) != n:
-        raise OamixError(
-            f"response has {len(vals)} values for a design of {n} runs")
-    return vals
-
-
 def _cmd_fit(args) -> int:
     from .fit import ols_fit
     from .modelmat import build_model_matrix
-    from .serialize import fmt_num
+    from .serialize import fmt_num, parse_response_csv
     design, spec = _design_and_spec(args)
     X = build_model_matrix(design, spec)
-    y = _read_response(args.response, X.n)
+    y = parse_response_csv(_read(args.response), X.n)
     result = ols_fit(X, y)
     lines = ["term,estimate,se"]
     for name, b, s in zip(result.columns, result.estimates, result.se):

@@ -146,7 +146,22 @@ class BlockedDesign:
     def _store(self, m, kind, n_blocks, as_printed, values, pwo, block,
                amount) -> None:
         n = len(block)
-        pwo = np.asarray(pwo).reshape(n, len(pair_indices(m)))
+        shapes = {"values": (n, m), "pwo": (n, len(pair_indices(m))),
+                  "block": (n,), "amount": (n,)}
+        columns = {"values": np.array(values, dtype=float),
+                   "pwo": np.asarray(pwo),
+                   "block": np.array(block, dtype=np.int64),
+                   "amount": np.array(amount, dtype=float)}
+        # a column of another run count or width is refused, never reshaped
+        wrong = [Violation(None, "column_shape", f"{name} has shape "
+                           f"{a.shape}, expected {shapes[name]}")
+                 for name, a in columns.items() if a.shape[:1] != (n,)
+                 or a.size != math.prod(shapes[name])]
+        if wrong:
+            raise InvalidDesign(wrong)
+        columns = {name: a.reshape(shapes[name])
+                   for name, a in columns.items()}
+        pwo = columns["pwo"]
         with np.errstate(invalid="ignore"):
             pwo8 = pwo.astype(np.int8)
         lost = pwo8 != pwo  # beyond int8, or not an integer
@@ -157,10 +172,7 @@ class BlockedDesign:
                           f"z{pairs[q][0]}{pairs[q][1]} = {pwo[r, q].item()} "
                           "not in {-1,0,+1}")
                 for r, q in zip(*(a.tolist() for a in np.nonzero(lost)))])
-        columns = {"values": np.array(values, dtype=float).reshape(n, m),
-                   "pwo": pwo8,
-                   "block": np.array(block, dtype=np.int64).reshape(n),
-                   "amount": np.array(amount, dtype=float).reshape(n)}
+        columns["pwo"] = pwo8
         for a in columns.values():
             a.flags.writeable = False
         fields = dict(columns, m=m, kind=kind, n_blocks=n_blocks,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import ModelMatrix
 from .errors import InsufficientDF, SchemaError, Unsupported
-from .linalg import Factor, _inverse, _point_variances, lstsq
+from .linalg import _inverse, _point_variances, lstsq
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,18 @@ class FitResult:
     residuals: tuple[float, ...]
     fitted: tuple[float, ...]
     info_inv: np.ndarray
-    factor: Factor = field(repr=False, compare=False)
+    matrix: ModelMatrix = field(repr=False, compare=False)
 
     def coefficient(self, name: str) -> float:
         return self.estimates[self.columns.index(name)]
+
+
+def _refuse_past_range(what: str, a: np.ndarray, columns) -> None:
+    huge = np.flatnonzero(~np.isfinite(a)).tolist()
+    if huge:
+        raise Unsupported(
+            f"the {what} of columns {', '.join(columns[j] for j in huge)}"
+            " are past the largest float: scale their units up")
 
 
 def ols_fit(X: ModelMatrix, y) -> FitResult:
@@ -34,8 +42,10 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
     Residuals are orthogonal to every column; se_j = sigma_hat * |W_j|/D_j;
     info_inv is (X'X)^-1, read-only. R-squared is computed about the response
     mean when the columns span a constant (intercept or a full simplex
-    linear basis), about zero otherwise. An estimate past the float range
-    (a column in tiny units) raises Unsupported naming its column.
+    linear basis), about zero otherwise. Every statistic is formed on y/2^e,
+    below 1 in size, and scaled back by 2^e: exactly, so the fit holds at
+    any scale of the response. An estimate or se past the float range (a
+    column in tiny units) raises Unsupported naming its column.
     """
     y = np.asarray(y, dtype=float)
     n, p = X.n, X.p
@@ -46,33 +56,37 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
     if n <= p:
         raise InsufficientDF(f"n={n} <= p={p}")
     f = X.factor  # raises SingularMatrix with column names
-    beta = lstsq(f, y)
-    huge = np.flatnonzero(~np.isfinite(beta)).tolist()
-    if huge:
-        raise Unsupported(
-            f"the estimates of columns {', '.join(X.columns[j] for j in huge)}"
-            " are past the largest float: scale their units up")
-    fitted = X.data @ beta
+    e = np.frexp(np.abs(y).max())[1]
+    y = np.ldexp(y, -e)
+    b = lstsq(f, y)
+    with np.errstate(over="ignore"):
+        beta = np.ldexp(b, e)
+    _refuse_past_range("estimates", beta, X.columns)
+    fitted = X.data @ b
     resid = y - fitted
     rss = float(resid @ resid)
     df = n - p
-    sigma_hat = np.sqrt(rss / df)
+    sigma = np.sqrt(rss / df)
     ones = np.ones(n)  # the columns span a constant if ones fits exactly
     if np.max(np.abs(X.data @ lstsq(f, ones) - ones)) <= 1e-8:
         tss = float(np.sum((y - y.mean()) ** 2))
     else:
         tss = float(y @ y)
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
+    with np.errstate(over="ignore"):
+        se, sigma_hat, resid, fitted = (
+            np.ldexp(a, e) for a in (sigma * f.se, sigma, resid, fitted))
+    _refuse_past_range("standard errors", se, X.columns)
     return FitResult(
         columns=X.columns,
         estimates=tuple(beta.tolist()),
-        se=tuple((sigma_hat * f.se).tolist()),
+        se=tuple(se.tolist()),
         sigma_hat=float(sigma_hat),
         df_residual=df,
         r_squared=float(r2),
         residuals=tuple(resid.tolist()),
         fitted=tuple(fitted.tolist()),
-        info_inv=_inverse(f), factor=f)
+        info_inv=_inverse(f), matrix=X)
 
 
 def predict(fit: FitResult, X_new: ModelMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -81,10 +95,7 @@ def predict(fit: FitResult, X_new: ModelMatrix) -> tuple[np.ndarray, np.ndarray]
         raise SchemaError(
             f"column mismatch: fit has {fit.columns}, new matrix has "
             f"{X_new.columns}")
-    f = fit.factor
-    # the fitted matrix itself; read without factoring any other matrix
-    if vars(X_new).get("_factored") is f:
-        pv = X_new._own_variances
-    else:
-        pv = _point_variances(f, X_new.data / f.norms)
+    X = fit.matrix  # at X itself, the variances made for criteria_report
+    pv = (X._own_variances if X_new is X
+          else _point_variances(X.factor, X_new.data / X.factor.norms))
     return X_new.data @ np.array(fit.estimates), fit.sigma_hat ** 2 * pv

@@ -1,4 +1,4 @@
-"""Design-file CSV format and FDS output files.
+"""Design-file CSV format, response files and FDS output files.
 
 Design CSV layout: header `run`, then `x1..xm` (proportion) or `a1..am`
 (amount), the pairwise columns `z12..z(m-1)m` in pair order, `block`, and a
@@ -110,11 +110,11 @@ def _integer(cell: str) -> int:
     return int(v)
 
 
-def _data_rows(data: str):
-    """(line number, cells) of every data line, counting the header as
-    line 1 and skipping blank lines; a line that csv cannot split (a bare
-    CR inside it) is refused with SchemaError by its number."""
-    lineno = 1
+def _data_rows(data: str, start: int):
+    """(line number, cells) of every line of data, numbering its first line
+    start and skipping blank lines; a line that csv cannot split (a bare CR
+    inside it) is refused with SchemaError by its number."""
+    lineno = start - 1
     try:
         for row in filter(None, csv.reader(io.StringIO(data))):
             lineno += 1
@@ -129,7 +129,7 @@ def _refuse_first_bad_line(data: str, m: int, npairs: int, with_amount: bool):
     reading cells in order: components, pairs, block, amount. Lines are
     counted from the header, blank lines skipped."""
     width = 1 + m + npairs + 1 + with_amount
-    for lineno, row in _data_rows(data):
+    for lineno, row in _data_rows(data, 2):
         if len(row) != width:
             raise SchemaError(
                 f"line {lineno}: expected {width} fields, got {len(row)}")
@@ -208,7 +208,7 @@ def parse_design_csv(text: str) -> BlockedDesign:
     amount = F[:, k] if with_amount else np.full(len(F), math.nan)
     given = ~np.isnan(amount)
     if with_amount and not given.all():  # empty is absent, `nan` is given
-        given = [row[-1].strip() != "" for _, row in _data_rows(data)]
+        given = [row[-1].strip() != "" for _, row in _data_rows(data, 2)]
     # n runs fill at most n blocks: a larger label is out of range
     n_blocks = min(int(B.max()), len(F))
     violations = validate_columns(m, kind, n_blocks, True, V, Z, B, amount,
@@ -217,6 +217,25 @@ def parse_design_csv(text: str) -> BlockedDesign:
         raise InvalidDesign(violations)
     return BlockedDesign.from_arrays(m, kind, V, Z, B, amount, n_blocks,
                                      as_printed=True)
+
+
+def parse_response_csv(text: str, n: int) -> list[float]:
+    """The n responses of a response file, read by the design file's line
+    and cell rules: each line's last cell is its response, and a first line
+    that is not a number is a header. SchemaError names the first bad line,
+    counting from line 1 and skipping blank lines, or the wrong count."""
+    values = []
+    for lineno, row in _data_rows(text, 1):
+        try:
+            values.append(_number(row[-1]))
+        except ValueError:
+            if lineno > 1:
+                raise SchemaError(f"response line {lineno}: not a number: "
+                                  f"{row[-1].strip()!r}") from None
+    if len(values) != n:
+        raise SchemaError(
+            f"response has {len(values)} values for a design of {n} runs")
+    return values
 
 
 def _nice_step(span: float) -> float:

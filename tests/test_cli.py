@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oamix.catalog import czitrom_d_oofa, component_amount_projection_design
+from oamix.catalog import (component_amount_projection_design, czitrom_d_oofa,
+                           oofa_expand)
 from oamix.cli import main
 from oamix.core import BlockedDesign, ModelSpec, Run
 from oamix.evaluate import FDS_SAMPLER, criteria_report
@@ -321,9 +322,10 @@ def test_fit_recovers_synthetic_coefficients(tmp_path, capsys):
         assert float(est) == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"])
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "1\x0c2"])
 def test_response_cells_follow_the_design_number_rule(tmp_path, capsys, cell):
-    # float() reads both; a design file refuses both by line
+    # float() reads the first two, and str.splitlines would split the
+    # third into two responses; a design file refuses all three by line
     t3 = catalog_file(tmp_path, "czitrom-d-oofa")
     y = tmp_path / "y.csv"
     y.write_text("y\n" + "1\n" * 4 + f"{cell}\n" + "1\n" * 19)
@@ -331,6 +333,72 @@ def test_response_cells_follow_the_design_number_rule(tmp_path, capsys, cell):
     assert run_cli("fit", "-i", str(t3), "--model", "scheffe-q",
                    "--response", str(y), "-o", str(tmp_path / "c.csv")) == 3
     assert "response line 6" in capsys.readouterr().err
+
+
+def test_fit_of_a_huge_response_prints_its_statistics(tmp_path, capsys):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    y = tmp_path / "y.csv"
+    rng = np.random.default_rng(131)
+    y.write_text("".join(f"{v!r}\n"
+                         for v in (1e160 * rng.normal(size=24)).tolist()))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fit", "-i", str(t3), "--model", "scheffe-q",
+                       "--response", str(y), "-o",
+                       str(tmp_path / "c.csv")) == 0
+    assert capsys.readouterr().out.startswith(
+        "sigma_hat=8.97523e+159  df=11  r_squared=0.7134\n")
+
+
+def interaction_columns(capsys, path, *options):
+    """The names of the interaction columns eval reports."""
+    capsys.readouterr()
+    assert run_cli("eval", "-i", str(path), "--model", "scheffe-q",
+                   "--json", *options) == 0
+    return [c["name"] for c in json.loads(capsys.readouterr().out)["columns"]
+            if "*z" in c["name"]]
+
+
+def test_interactions_list_gives_exactly_its_terms(tmp_path, capsys):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    assert interaction_columns(capsys, t3, "--interactions", " 1:12, 2:23") \
+        == ["x1*z12", "x2*z23"]
+
+
+@pytest.mark.parametrize("piece", ["1-12", "1:1", "x:12", "1:12:3"])
+def test_malformed_interaction_exits_3(tmp_path, capsys, piece):
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    capsys.readouterr()
+    assert run_cli("eval", "-i", str(t3), "--model", "scheffe-q",
+                   "--interactions", f"1:13,{piece}") == 3
+    assert f"bad interaction {piece!r}" in capsys.readouterr().err
+
+
+def test_default_interactions_are_none_beyond_three_components(tmp_path,
+                                                               capsys):
+    # the {4, 2} lattice, expanded over addition orders, in two blocks
+    edges = [(j, k) for j in range(4) for k in range(j + 1, 4)]
+    values = [np.eye(4)[i] for i in range(4)]
+    values += [(np.eye(4)[j] + np.eye(4)[k]) / 2 for j, k in edges]
+    base = BlockedDesign.from_arrays(4, "proportion", values * 2,
+                                     np.zeros((20, 6)), [1] * 10 + [2] * 10,
+                                     None, 2)
+    m4 = tmp_path / "m4.csv"
+    m4.write_text(write_design_csv(oofa_expand(base)))
+    assert interaction_columns(capsys, m4) == []
+
+
+@pytest.mark.parametrize("terms", ["1:12", "full"])
+def test_explicit_interactions_without_pwo_exit_3(tmp_path, capsys, terms):
+    # only `default` yields to --no-pwo; a request is refused, not dropped
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    capsys.readouterr()
+    assert run_cli("eval", "-i", str(t3), "--model", "scheffe-q", "--no-pwo",
+                   "--interactions", terms) == 3
+    assert "interaction terms require include_pwo=True" in \
+        capsys.readouterr().err
+    assert interaction_columns(capsys, t3, "--no-pwo") == []
 
 
 def test_missing_input_is_data_error(tmp_path, capsys):

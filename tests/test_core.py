@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oamix.core import (BlockedDesign, ModelMatrix, ModelSpec, Run,
-                        Violation, pair_indices, validate_design)
+                        Violation, pair_indices, validate_columns,
+                        validate_design)
 from oamix.errors import InvalidDesign, SingularMatrix, SpecError
 from oamix.pwo import pwo_from_permutation
 
@@ -270,3 +271,35 @@ def test_singular_model_matrix_names_columns_on_every_access():
         with pytest.raises(SingularMatrix) as exc:
             X.factor
         assert exc.value.names == ("b",)
+
+
+def test_validate_columns_design_level_rules():
+    assert validate_columns(1, "volume", 1, False, np.empty((0, 1)),
+                            np.empty((0, 0)), [], []) == [
+        Violation(None, "component_count", "m must be >= 2, got 1"),
+        Violation(None, "kind", "unknown design kind 'volume'"),
+        Violation(None, "empty_design", "design has no runs"),
+        Violation(None, "empty_block", "block 1 has no runs")]
+
+
+@pytest.mark.parametrize("values, pwo, message", [
+    (np.full((6, 2), 0.5), np.zeros((4, 3)),
+     "values has shape (6, 2), expected (4, 3)"),
+    (np.full((4, 3), 1 / 3), np.zeros((3, 4)),
+     "pwo has shape (3, 4), expected (4, 3)"),
+    (np.full((4, 2), 0.5), np.zeros((4, 3)),
+     "values has shape (4, 2), expected (4, 3)")])
+def test_from_arrays_refuses_columns_of_another_shape(values, pwo, message):
+    # the same number of entries is no excuse: nothing is reshaped
+    with pytest.raises(InvalidDesign) as exc:
+        BlockedDesign.from_arrays(3, "proportion", values, pwo, [1, 1, 2, 2],
+                                  None, 2)
+    assert exc.value.violations == [Violation(None, "column_shape", message)]
+
+
+def test_from_arrays_takes_a_flat_pwo_at_m_2_and_no_runs():
+    d = BlockedDesign.from_arrays(2, "proportion", [(0.5, 0.5)] * 2, [1, -1],
+                                  [1, 2], None, 2)
+    assert d.pwo.tolist() == [[1], [-1]]
+    empty = BlockedDesign.from_arrays(3, "proportion", [], [], [], None, 1)
+    assert empty.values.shape == (0, 3) and empty.pwo.shape == (0, 3)

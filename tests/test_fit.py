@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oamix.fit
 from oamix.catalog import (component_amount_projection_design, czitrom_d_oofa,
@@ -183,3 +184,35 @@ def test_fit_refuses_estimates_past_the_float_range():
     assert str(exc.value).startswith(
         "the estimates of columns a1^2, a2^2, a3^2, a1*a2, a1*a3, a2*a3 are "
         "past the largest float")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-900, 900))
+def test_fit_statistics_hold_at_any_scale_of_the_response(e):
+    # scaling y by 2^e scales every statistic by 2^e exactly, R-squared
+    # not at all, and warns nowhere
+    X = t3_matrix()
+    rng = np.random.default_rng(127)
+    y = X.data @ rng.normal(size=X.p) + rng.normal(scale=0.3, size=X.n)
+    base = ols_fit(X, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = ols_fit(X, np.ldexp(y, e))
+    for name in ("estimates", "se", "residuals", "fitted"):
+        np.testing.assert_array_equal(getattr(fit, name),
+                                      np.ldexp(getattr(base, name), e))
+    assert fit.sigma_hat == np.ldexp(base.sigma_hat, e)
+    assert fit.r_squared == base.r_squared
+
+
+def test_fit_refuses_standard_errors_past_the_float_range():
+    # y is orthogonal to both columns, so the estimates stay near 0 while
+    # the se of the column in tiny units is past the largest float
+    t = np.array([1.0, 2.0, 3.0, 4.0])
+    X = ModelMatrix(("1", "t"), np.column_stack([np.ones(4), 1e-200 * t]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Unsupported) as exc:
+            ols_fit(X, 1e110 * np.array([1.0, -1.0, -1.0, 1.0]))
+    assert str(exc.value) == ("the standard errors of columns t are past the "
+                              "largest float: scale their units up")

@@ -8,8 +8,9 @@ from _oracles import parse_design_csv_per_cell
 from oamix.catalog import (component_amount_projection_design, czitrom_d_oofa,
                            czitrom_d_optimal)
 from oamix.core import BlockedDesign, Run
-from oamix.errors import InvalidDesign, SchemaError
-from oamix.serialize import parse_design_csv, write_design_csv
+from oamix.errors import EmptyDesign, InvalidDesign, SchemaError
+from oamix.serialize import (parse_design_csv, parse_response_csv,
+                              write_design_csv)
 
 # header: run,x1,x2,x3,z12,z13,z23,block; line 2 is run 1, (0.168, 0.832, 0)
 # added with z12 = +1 in block 1
@@ -174,3 +175,41 @@ def test_writer_refuses_non_finite_values_by_run(component, amount):
         write_design_csv(d)
     assert [(v.run_index, v.rule) for v in exc.value.violations] == \
         [(2, "non_finite_value")]
+
+
+def test_response_file_reads_the_last_cell_of_each_line():
+    # a header, quotes, spaces, CRLF and blank lines, as in a design file
+    text = 'run,y\r\n1, 2.5\r\n\r\n2,"1e3"\r\n3,-1\r\n'
+    assert parse_response_csv(text, 3) == [2.5, 1000.0, -1.0]
+    assert parse_response_csv("\n4\n5\n", 2) == [4.0, 5.0]
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("y\n\n1\n\nx\n", 3),  # blank lines are not counted
+    ("1\ny\n", 2)])  # only the first line may be a header
+def test_response_file_refuses_a_bad_cell_by_its_line(text, lineno):
+    with pytest.raises(SchemaError, match=f"^response line {lineno}: "
+                                          "not a number: "):
+        parse_response_csv(text, 2)
+
+
+def test_response_count_must_match_the_runs():
+    with pytest.raises(SchemaError, match="^response has 2 values for a "
+                                          "design of 3 runs$"):
+        parse_response_csv("y\n1\n2\n", 3)
+
+
+def test_empty_and_header_only_design_files():
+    with pytest.raises(SchemaError, match="^empty file: no header row$"):
+        parse_design_csv("\n\n")
+    with pytest.raises(EmptyDesign):
+        parse_design_csv("run,x1,x2,x3,z12,z13,z23,block\n\n")
+
+
+@pytest.mark.parametrize("header", [
+    "run", "run,y1,y2,z12,block", "run,x1,a2,z12,block",
+    "run,x2,x1,z12,block", "run,x1,z12,block"])
+def test_component_columns_must_be_x1_to_xm_or_a1_to_am(header):
+    with pytest.raises(SchemaError, match="^expected component columns "
+                                          "x1..xm or a1..am, got "):
+        parse_design_csv(header + "\n1,0.5,0.5,0,1\n")
