@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 
 from . import catalog as cat
@@ -96,18 +95,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {text!r}")
     return int(text)
-
-
-def _seed_from_args(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("OAMIX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise OamixError(f"OAMIX_SEED is not an integer: {env!r}")
-    return 0
 
 
 def _cmd_catalog(args) -> int:
@@ -219,8 +206,7 @@ def _cmd_fds(args) -> int:
     from .evaluate import fds_curve
     from .serialize import write_fds_outputs
     design, spec = _design_and_spec(args)
-    seed = _seed_from_args(args)
-    curve = fds_curve(design, spec, args.samples, seed)
+    curve = fds_curve(design, spec, args.samples, args.seed)
     csv_path, svg_path = write_fds_outputs(curve, args.output)
     print(f"samples={curve.n_samples}  seed={curve.seed}  "
           f"sampler={curve.sampler}  median={curve.median():.6f}  "
@@ -301,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fds", help="fraction-of-design-space curve")
     add_model_opts(p)
     p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="sampling seed (default: OAMIX_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="sampling seed (default 0)")
     p.add_argument("-o", "--output", required=True,
                    help="base path; writes <base>.csv and <base>.svg")
     p.set_defaults(func=_cmd_fds)

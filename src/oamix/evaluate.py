@@ -16,9 +16,10 @@ they are deliberately not matched.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -173,7 +174,10 @@ def criteria_report(X: ModelMatrix,
     if eval_points is None:
         pv = X._own_variances
     else:
-        pts = np.asarray(eval_points, float)
+        try:
+            pts = np.asarray(eval_points, float)
+        except (TypeError, ValueError):
+            raise SchemaError("eval points are not numbers") from None
         if pts.ndim != 2 or pts.shape[1] != p or not len(pts):
             raise SchemaError(f"eval points have shape {pts.shape}; the "
                               f"model matrix needs one or more rows of {p} "
@@ -204,11 +208,19 @@ FDS_SAMPLER = "per-sample-pcg64/1"
 
 @dataclass(frozen=True)
 class FDSCurve:
-    fractions: tuple[float, ...]
+    """Sorted prediction variances, their fractions (i - 0.5)/n and seed."""
     variances: tuple[float, ...]
-    n_samples: int
     seed: int
-    sampler: str = FDS_SAMPLER
+    sampler: ClassVar[str] = FDS_SAMPLER
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.variances)
+
+    @functools.cached_property
+    def fractions(self) -> tuple[float, ...]:
+        n = len(self.variances)
+        return tuple((i - 0.5) / n for i in range(1, n + 1))
 
     def median(self) -> float:
         return float(np.median(self.variances))
@@ -252,7 +264,7 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
     design's information matrix. Sample s draws from its own generator,
     seeded by the 128-bit integer (seed mod 2^64) * 2^64 + s: partitioned or
     partial runs agree with full runs sample for sample, and two seeds never
-    share a sample's stream; the curve's sampler field names that stream.
+    share a sample's stream; FDSCurve.sampler names that stream.
     Only the draws run per sample: normalization, amounts, PWO rows (decoded
     from the ordering indices, no m! table) and model rows are array passes.
     Variances are sorted ascending against fractions (i - 0.5)/n_samples.
@@ -286,9 +298,7 @@ def fds_curve(design: BlockedDesign, spec: ModelSpec, n_samples: int,
         pvs[part] = _point_variances(f, rows / f.norms)
 
     pvs.sort()
-    fracs = tuple((i - 0.5) / n_samples for i in range(1, n_samples + 1))
-    return FDSCurve(fractions=fracs, variances=tuple(float(v) for v in pvs),
-                    n_samples=n_samples, seed=seed)
+    return FDSCurve(variances=tuple(float(v) for v in pvs), seed=seed)
 
 
 class PowerRow(NamedTuple):
@@ -325,5 +335,5 @@ def term_r_squared(X: ModelMatrix) -> dict[str, float]:
     otherwise.
     """
     if X.p < 2:
-        raise ValueError("need at least 2 columns")
+        raise Unsupported(f"term R^2 needs at least 2 columns, got {X.p}")
     return dict(zip(X.columns, _column_r2(X)))

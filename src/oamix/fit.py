@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,12 @@ class FitResult:
     r_squared: float
     residuals: tuple[float, ...]
     fitted: tuple[float, ...]
-    info_inv: np.ndarray
     matrix: ModelMatrix = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def info_inv(self) -> np.ndarray:
+        """(X'X)^-1 in raw units, read-only, formed on first read."""
+        return _inverse(self.matrix.factor)
 
     def coefficient(self, name: str) -> float:
         return self.estimates[self.columns.index(name)]
@@ -40,7 +45,7 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
     """Least-squares fit from one factorization of the model matrix.
 
     Residuals are orthogonal to every column; se_j = sigma_hat * |W_j|/D_j;
-    info_inv is (X'X)^-1, read-only. R-squared is computed about the response
+    no inverse is formed. R-squared is computed about the response
     mean when the columns span a constant (intercept or a full simplex
     linear basis), about zero otherwise. Every statistic is formed on y/2^e,
     below 1 in size, and scaled back by 2^e: exactly, so the fit holds at
@@ -85,8 +90,7 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
         df_residual=df,
         r_squared=float(r2),
         residuals=tuple(resid.tolist()),
-        fitted=tuple(fitted.tolist()),
-        info_inv=_inverse(f), matrix=X)
+        fitted=tuple(fitted.tolist()), matrix=X)
 
 
 def predict(fit: FitResult, X_new: ModelMatrix) -> tuple[np.ndarray, np.ndarray]:

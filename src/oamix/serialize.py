@@ -110,17 +110,17 @@ def _integer(cell: str) -> int:
     return int(v)
 
 
-def _data_rows(data: str, start: int):
+def _data_rows(data: str, start: int, prefix: str = ""):
     """(line number, cells) of every line of data, numbering its first line
     start and skipping blank lines; a line that csv cannot split (a bare CR
-    inside it) is refused with SchemaError by its number."""
+    inside it) is refused with SchemaError by its number, after prefix."""
     lineno = start - 1
     try:
         for row in filter(None, csv.reader(io.StringIO(data))):
             lineno += 1
             yield lineno, row
     except csv.Error as e:
-        raise SchemaError(f"line {lineno + 1}: {e}") from None
+        raise SchemaError(f"{prefix}line {lineno + 1}: {e}") from None
 
 
 def _refuse_first_bad_line(data: str, m: int, npairs: int, with_amount: bool):
@@ -225,7 +225,7 @@ def parse_response_csv(text: str, n: int) -> list[float]:
     that is not a number is a header. SchemaError names the first bad line,
     counting from line 1 and skipping blank lines, or the wrong count."""
     values = []
-    for lineno, row in _data_rows(text, 1):
+    for lineno, row in _data_rows(text, 1, "response "):
         try:
             values.append(_number(row[-1]))
         except ValueError:
@@ -243,17 +243,17 @@ def _nice_step(span: float) -> float:
         return 1.0
     raw = span / 5.0
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if raw <= mult * mag:
             return mult * mag
-    return 10.0 * mag
+    return 10.0 * mag  # raw < 10 * mag
 
 
-def fds_svg(curve: FDSCurve, width: int = 640, height: int = 440) -> str:
-    """Self-contained SVG polyline of prediction variance vs fraction."""
+def fds_svg(curve: FDSCurve) -> str:
+    """Self-contained 640 x 440 SVG polyline of variance vs fraction."""
+    width, height = 640, 440
     left, right, top, bottom = 70, 20, 20, 50
-    pw = width - left - right
-    ph = height - top - bottom
+    pw, ph = width - left - right, height - top - bottom
     vmax = max(curve.variances)
     step = _nice_step(vmax)
     ymax = step * math.ceil(vmax / step) if vmax > 0 else 1.0

@@ -393,9 +393,7 @@ def fds_curve_per_sample(design: BlockedDesign, spec, n_samples: int,
         pvs[lo:lo + k] = _point_variances(f, rows / f.norms)
 
     pvs.sort()
-    fracs = tuple((i - 0.5) / n_samples for i in range(1, n_samples + 1))
-    return FDSCurve(fractions=fracs, variances=tuple(float(v) for v in pvs),
-                    n_samples=n_samples, seed=seed)
+    return FDSCurve(variances=tuple(float(v) for v in pvs), seed=seed)
 
 
 def support_pair_rules(m: int, runs) -> list[tuple[int, str]]:

@@ -288,17 +288,24 @@ def test_fds_sample_count_must_be_positive(tmp_path, capsys, samples):
     assert not (tmp_path / "f.csv").exists()
 
 
-def test_fds_seed_env_fallback(tmp_path, monkeypatch, capsys):
+def test_fds_seed_defaults_to_0_whatever_the_environment(tmp_path,
+                                                          monkeypatch, capsys):
     t3 = catalog_file(tmp_path, "czitrom-d-oofa")
-    explicit = tmp_path / "explicit"
-    env = tmp_path / "env"
-    assert run_cli("fds", "-i", str(t3), "--model", "scheffe-q",
-                   "--samples", "50", "--seed", "99", "-o", str(explicit)) == 0
-    monkeypatch.setenv("OAMIX_SEED", "99")
-    assert run_cli("fds", "-i", str(t3), "--model", "scheffe-q",
-                   "--samples", "50", "-o", str(env)) == 0
-    assert (tmp_path / "explicit.csv").read_bytes() == \
-        (tmp_path / "env.csv").read_bytes()
+    fds = ("fds", "-i", str(t3), "--model", "scheffe-q", "--samples", "50")
+    outputs = {}
+    for name, env, seed in (("zero", None, ("--seed", "0")),
+                            ("default", None, ()),
+                            ("env", "99", ())):
+        if env is not None:
+            monkeypatch.setenv("OAMIX_SEED", env)
+        capsys.readouterr()
+        assert run_cli(*fds, *seed, "-o", str(tmp_path / name)) == 0
+        out = capsys.readouterr().out.replace(str(tmp_path / name), "base")
+        outputs[name] = (out, (tmp_path / f"{name}.csv").read_bytes(),
+                         (tmp_path / f"{name}.svg").read_bytes())
+    assert "seed=0  " in outputs["zero"][0]
+    assert outputs["default"] == outputs["zero"]
+    assert outputs["env"] == outputs["zero"]
 
 
 def test_fit_recovers_synthetic_coefficients(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from oamix.core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec, Run
 from oamix.errors import (InsufficientDF, NothingToCheck, SchemaError,
                           SingularMatrix, Unsupported)
 from oamix.evaluate import _CHUNK as CHUNK
-from oamix.evaluate import (FDS_SAMPLER, check_orthogonal_blocking,
+from oamix.evaluate import (FDS_SAMPLER, FDSCurve, check_orthogonal_blocking,
                             criteria_report, fds_curve, power_table,
                             term_r_squared)
 from oamix.fit import ols_fit, predict
@@ -514,7 +514,17 @@ def test_d_criterion_follows_the_amount_unit(a_max):
 def test_fds_single_sample():
     curve = fds_curve(czitrom_d_oofa(), scheffe_spec(), 1, seed=5)
     assert curve.fractions == (0.5,)
-    assert len(curve.variances) == 1
+    assert len(curve.variances) == curve.n_samples == 1
+
+
+def test_fds_curve_stores_only_its_variances_and_seed():
+    curve = fds_curve(czitrom_d_oofa(), scheffe_spec(), 7, seed=3)
+    assert [f.name for f in fields(curve)] == ["variances", "seed"]
+    assert curve.n_samples == 7
+    assert curve.fractions == tuple((i - 0.5) / 7 for i in range(1, 8))
+    assert curve.sampler == FDSCurve.sampler == FDS_SAMPLER
+    assert curve == FDSCurve(curve.variances, 3)
+    assert hash(curve) == hash(FDSCurve(curve.variances, 3))
 
 
 def test_fds_deterministic_and_sorted():
@@ -670,8 +680,15 @@ def test_term_r_squared_duplicate_column_is_singular():
 
 def test_term_r_squared_needs_two_columns():
     X = ModelMatrix(("a",), np.ones((3, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported, match="at least 2 columns, got 1"):
         term_r_squared(X)
+
+
+@pytest.mark.parametrize("points", [[["a"]], [[1.0, 2.0], [3.0]], [[{}]]])
+def test_eval_points_that_are_not_numbers_are_a_schema_error(points):
+    X = build_model_matrix(czitrom_d_oofa(), scheffe_spec())
+    with pytest.raises(SchemaError, match="^eval points are not numbers$"):
+        criteria_report(X, points)
 
 
 def test_expanded_design_report_matches_base_structure():

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oamix.core import BlockedDesign, ModelMatrix, ModelSpec, Run
 from oamix.errors import InsufficientDF, SchemaError, Unsupported
 from oamix.evaluate import criteria_report
 from oamix.fit import ols_fit, predict
+from oamix.linalg import _inverse
 from oamix.modelmat import build_model_matrix, default_interaction_subset
 
 
@@ -76,6 +78,33 @@ def test_r_squared_bounds_with_simplex_basis():
     y = X.data @ rng.normal(size=X.p) + rng.normal(scale=0.5, size=X.n)
     fit = ols_fit(X, y)
     assert 0.0 <= fit.r_squared <= 1.0
+
+
+def test_r_squared_is_uncentred_when_the_columns_span_no_constant():
+    t = np.arange(1.0, 9.0)
+    X = ModelMatrix(("t", "t2"), np.column_stack([t, t * t]))
+    y = np.random.default_rng(5).normal(size=8) + t
+    _, rss, _, _ = np.linalg.lstsq(X.data, y, rcond=None)
+    assert ols_fit(X, y).r_squared == pytest.approx(1.0 - rss[0] / (y @ y),
+                                                    rel=1e-12)
+
+
+def test_fits_compare_and_hash_by_their_statistics(monkeypatch):
+    inverses = []
+    monkeypatch.setattr(oamix.fit, "_inverse",
+                        lambda f: inverses.append(f) or _inverse(f))
+    X = t3_matrix()
+    y = X.data @ np.ones(X.p) + np.random.default_rng(3).normal(size=X.n)
+    a, b = ols_fit(X, y), ols_fit(t3_matrix(), y)
+    predict(a, X)
+    assert a == b and hash(a) == hash(b)
+    assert "info_inv" not in [f.name for f in fields(a)]
+    assert inverses == []  # fitting forms no inverse
+    np.testing.assert_array_equal(a.info_inv, _inverse(X.factor))
+    assert a.info_inv is a.info_inv and len(inverses) == 1
+    assert not a.info_inv.flags.writeable
+    with pytest.raises(FrozenInstanceError):
+        a.info_inv = None
 
 
 def test_insufficient_df():

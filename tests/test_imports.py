@@ -1,8 +1,9 @@
 """Start-up budget: scipy stays out of every command that reports no power,
 and the power commands load scipy.special, never scipy.stats; catalog and
 expand load none of modelmat, evaluate, fit or numpy.ma, and fit does not
-load evaluate."""
+load evaluate. No module reads the environment."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -60,6 +61,23 @@ def test_scipy_stays_off_the_start_up_path(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_reads_the_environment():
+    # the same argv and input files give the same bytes in any environment
+    reads = []
+    for path in sorted(Path(oamix.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("environ", "getenv", "environb")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                reads.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno} from os import "
+                          f"{a.name}" for a in node.names
+                          if a.name in ("environ", "getenv", "environb")]
+    assert reads == []
 
 
 def test_public_names_resolve_to_their_submodule_objects():

@@ -124,6 +124,15 @@ def test_singular_matrix_reports_offending_columns():
     assert "rank 2 of 3" in str(exc.value)
 
 
+def test_singular_matrix_message_without_columns_is_the_message():
+    assert str(SingularMatrix("m")) == "m"
+
+
+def test_factor_refuses_a_vector():
+    with pytest.raises(ValueError, match="^expected a 2-D matrix$"):
+        factor(np.ones(3))
+
+
 def test_more_columns_than_rows_is_singular():
     with pytest.raises(SingularMatrix) as exc:
         factor(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))

@@ -78,6 +78,12 @@ def test_permutation_from_pwo_refuses_entries_outside_unit_range():
         permutation_from_pwo((0, 0, -3), {2, 3})
 
 
+def test_permutation_from_pwo_refuses_a_vector_of_another_length():
+    with pytest.raises(SupportMismatch, match="^pwo length 3 does not "
+                                              "match m=4$"):
+        permutation_from_pwo((1, 1, 1), {1, 2, 3}, m=4)
+
+
 def test_permutation_from_pwo_refuses_support_outside_components():
     with pytest.raises(SupportMismatch, match=r"not within 1\.\.3"):
         permutation_from_pwo((1, 1, 1), {1, 2, 3, 4})

@@ -193,6 +193,12 @@ def test_response_file_refuses_a_bad_cell_by_its_line(text, lineno):
         parse_response_csv(text, 2)
 
 
+def test_response_line_csv_cannot_split_is_named_as_a_response_line():
+    with pytest.raises(SchemaError, match="^response line 2: new-line "
+                                          "character seen in unquoted field"):
+        parse_response_csv("y\n1\r2\n3\n", 3)
+
+
 def test_response_count_must_match_the_runs():
     with pytest.raises(SchemaError, match="^response has 2 values for a "
                                           "design of 3 runs$"):
@@ -213,3 +219,10 @@ def test_component_columns_must_be_x1_to_xm_or_a1_to_am(header):
     with pytest.raises(SchemaError, match="^expected component columns "
                                           "x1..xm or a1..am, got "):
         parse_design_csv(header + "\n1,0.5,0.5,0,1\n")
+
+
+def test_header_past_the_component_columns_must_match_exactly():
+    header = "run,x1,x2,x3,z12,z13,z23,blok"
+    with pytest.raises(SchemaError, match="^expected header run,x1,x2,x3,"
+                                          f"z12,z13,z23,block, got {header}$"):
+        parse_design_csv(header + "\n1,0.5,0.5,0,1,0,0,1\n")
