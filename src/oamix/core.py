@@ -25,6 +25,9 @@ PROPORTION_SUM_TOL = 1e-9
 AMOUNT_SUM_TOL = 1e-9
 # printed catalog tables carry 3-decimal rounding (0.333 / 0.334)
 AS_PRINTED_SUM_TOL = 5e-3
+# relative to the total: a printed total and its printed values keep 6
+# significant digits, twice the worst case of the two roundings
+AS_PRINTED_AMOUNT_TOL = 2e-5
 
 SCHEFFE_LINEAR = "scheffe_linear"
 SCHEFFE_QUADRATIC = "scheffe_quadratic"
@@ -230,7 +233,7 @@ class ModelSpec:
         return FAMILIES[self.family].intercept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelMatrix:
     """A dense model matrix with named columns.
 
@@ -241,7 +244,8 @@ class ModelMatrix:
     factor is the one factorization of data, made on first use and shared
     by every analysis of this matrix, and so are the prediction variances
     of its own rows; data is a private read-only copy, so neither can go
-    stale; its factor holds no raw-unit (X'X)^-1 (see linalg).
+    stale; its factor holds no raw-unit (X'X)^-1 (see linalg). A matrix
+    equals only itself and hashes by identity, as a BlockedDesign does.
     """
 
     columns: tuple[str, ...]
@@ -359,9 +363,10 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
                      has_amount=None) -> list[Violation]:
     """validate_design on bare columns, in one pass over the arrays.
 
-    pwo and block may be any numeric type. has_amount marks the runs that
-    were given an amount (default: those not NaN), so that a given NaN is
-    reported as non-finite rather than read as absent. A run's support
+    pwo and block may be any numeric type. has_amount, a bool, says
+    whether the runs were given amounts (a design file's `A` column gives
+    every run one), so that a given NaN is non-finite, not absent; by
+    default a run has one when it is not NaN. A run's support
     pairs are those whose components are both positive (a zero, negative
     or NaN component is absent, as in oamix.pwo); they must be all 0
     (unordered) or all +/-1 with precedence out-degrees {s-1, ..., 0}.
@@ -369,8 +374,8 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
     V = np.asarray(values, dtype=float)
     Z, B = np.asarray(pwo), np.asarray(block)
     A = np.asarray(amount, dtype=float)
-    has = ~np.isnan(A) if has_amount is None else np.asarray(has_amount)
     n = len(B)
+    has = ~np.isnan(A) if has_amount is None else np.full(n, has_amount)
     head, found = [], []
     if m < 2:
         head.append(Violation(None, "component_count",
@@ -434,8 +439,9 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
                 lambda r, _: "amount kind requires a total amount")
             # a non-finite amount is reported once, above
             finite_a = has & np.isfinite(A)
-            # relative above 1, so that printed digits hold at any scale
-            tol = AMOUNT_SUM_TOL * np.maximum(1.0, np.abs(A))
+            # relative to the total, so that a verdict holds at any scale
+            tol = (AS_PRINTED_AMOUNT_TOL if as_printed
+                   else AMOUNT_SUM_TOL) * np.abs(A)
             add(4, "amount_mismatch", finite_a & (np.abs(A - s) > tol),
                 lambda r, _: f"amount {float(A[r])} != value sum {float(s[r])}")
             add(5, "negative_amount", finite_a & (A < 0),

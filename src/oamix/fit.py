@@ -94,12 +94,16 @@ def ols_fit(X: ModelMatrix, y) -> FitResult:
 
 
 def predict(fit: FitResult, X_new: ModelMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted values and their variances sigma_hat^2 * v'(X'X)^-1 v."""
+    """Predicted values and their variances sigma_hat^2 * v'(X'X)^-1 v;
+    X_new must have the fit's columns in the fit's basis."""
+    X = fit.matrix  # at X itself, the variances made for criteria_report
+    if X_new.basis != X.basis:
+        raise SchemaError(f"basis mismatch: fit is in the {X.basis} basis, "
+                          f"new matrix in the {X_new.basis} basis")
     if tuple(X_new.columns) != tuple(fit.columns):
         raise SchemaError(
             f"column mismatch: fit has {fit.columns}, new matrix has "
             f"{X_new.columns}")
-    X = fit.matrix  # at X itself, the variances made for criteria_report
     pv = (X._own_variances if X_new is X
           else _point_variances(X.factor, X_new.data / X.factor.norms))
     return X_new.data @ np.array(fit.estimates), fit.sigma_hat ** 2 * pv

@@ -13,9 +13,9 @@ allowed; `1_000` and non-ASCII digits are refused. A cell may be quoted
 with `"` (`""` inside quotes is one quote). Lines end in LF or CRLF; blank
 lines are skipped; `#` starts no comment. Pair and block cells must hold
 integers (`1` or `1.0`); a fraction there is refused, never truncated. An
-empty `A` cell means the run has no total amount. A refusal names the first
-bad line, counting the header as line 1 and skipping blank lines, and its
-first bad cell.
+`A` cell holds its run's total like any number cell; an empty one is
+refused. A refusal names the first bad line, counting the header as line 1
+and skipping blank lines, and its first bad cell.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (BlockedDesign, pair_indices, validate_columns,
-                   validate_design)
+from .core import BlockedDesign, pair_indices, validate_columns
 from .errors import EmptyDesign, InvalidDesign, SchemaError
 
 if TYPE_CHECKING:  # annotations only: writing a design never loads evaluate
@@ -68,18 +67,22 @@ _INT8_CELLS = np.array([str(z) for z in (*range(128), *range(-128, 0))],
 
 def write_design_csv(design: BlockedDesign) -> str:
     """The design file of a design; InvalidDesign names each run holding a
-    NaN or infinite component or amount, which no cell can hold."""
-    if not np.isfinite(design.values).all() or np.isinf(design.amount).any():
-        raise InvalidDesign([v for v in validate_design(design)
-                             if v.rule == "non_finite_value"])
+    NaN or infinite component or amount, which no cell can hold. A design
+    with a total on some runs needs one on every run: each run without one
+    is named as the reader names a `nan` cell, "amount is nan"."""
     with_amount = not np.isnan(design.amount).all()
+    if (not np.isfinite(design.values).all()
+            or with_amount and not np.isfinite(design.amount).all()):
+        raise InvalidDesign([v for v in validate_columns(
+            design.m, design.kind, design.n_blocks, design.as_printed,
+            design.values, design.pwo, design.block, design.amount,
+            with_amount) if v.rule == "non_finite_value"])
     columns = [[*map(str, range(1, design.n + 1))],
                *_formatted(design.values.T, fmt_num).tolist(),
                *_INT8_CELLS[design.pwo.T].tolist(),
                _formatted(design.block, str).tolist()]
     if with_amount:
-        columns.append(_formatted(
-            design.amount, lambda a: "" if math.isnan(a) else fmt_num(a)).tolist())
+        columns.append(_formatted(design.amount, fmt_num).tolist())
     rows = [_header(design.m, design.kind, with_amount), *zip(*columns)]
     return "\n".join(map(",".join, rows)) + "\n"
 
@@ -94,12 +97,6 @@ def _number(cell: str) -> float:
         except ValueError:
             pass
     raise ValueError(f"could not convert string to float: {cell!r}")
-
-
-def _amount(cell: str) -> float:
-    """An `A` cell, read stripped: empty means no amount (NaN)."""
-    s = cell.strip()
-    return _number(s) if s else math.nan
 
 
 def _integer(cell: str) -> int:
@@ -139,7 +136,7 @@ def _refuse_first_bad_line(data: str, m: int, npairs: int, with_amount: bool):
             for cell in row[1 + m:2 + m + npairs]:
                 _integer(cell)
             if with_amount:
-                _amount(row[-1])
+                _number(row[-1])
         except ValueError as e:
             raise SchemaError(f"line {lineno}: {e}") from None
 
@@ -181,20 +178,11 @@ def parse_design_csv(text: str) -> BlockedDesign:
     width = len(header)
     k = m + npairs + 1  # components, pairs and block; then A if present
     # one pass over every cell, then the checks on the whole array; the
-    # line is looked for only when a check fails. The `A` column is read
-    # by numpy too, which refuses an empty cell: only then is the file read
-    # again with the per-cell _amount, which reads it as no amount
-    def read(converters=None):
-        return np.loadtxt(io.StringIO(data), delimiter=",",
-                          usecols=range(1, width), ndmin=2, comments=None,
-                          quotechar='"', converters=converters)
+    # line is looked for only when a check fails
     try:
-        try:
-            F = read()
-        except ValueError:
-            if not with_amount:
-                raise
-            F = read({width - 1: _amount})
+        F = np.loadtxt(io.StringIO(data), delimiter=",",
+                       usecols=range(1, width), ndmin=2, comments=None,
+                       quotechar='"')
     except ValueError as e:
         _refuse_first_bad_line(data, m, npairs, with_amount)
         raise SchemaError(f"unreadable design data: {e}") from None
@@ -206,13 +194,10 @@ def parse_design_csv(text: str) -> BlockedDesign:
         _refuse_first_bad_line(data, m, npairs, with_amount)
     V, Z, B = F[:, :m], F[:, m:m + npairs], F[:, k - 1]
     amount = F[:, k] if with_amount else np.full(len(F), math.nan)
-    given = ~np.isnan(amount)
-    if with_amount and not given.all():  # empty is absent, `nan` is given
-        given = [row[-1].strip() != "" for _, row in _data_rows(data, 2)]
     # n runs fill at most n blocks: a larger label is out of range
     n_blocks = min(int(B.max()), len(F))
     violations = validate_columns(m, kind, n_blocks, True, V, Z, B, amount,
-                                  given)
+                                  with_amount)
     if violations:
         raise InvalidDesign(violations)
     return BlockedDesign.from_arrays(m, kind, V, Z, B, amount, n_blocks,

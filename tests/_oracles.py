@@ -29,9 +29,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from oamix.core import (AMOUNT_SUM_TOL, AS_PRINTED_SUM_TOL, FAMILIES,
-                        PROPORTION_SUM_TOL, BlockedDesign, Run, Violation,
-                        pair_indices, validate_columns)
+from oamix.core import (AMOUNT_SUM_TOL, AS_PRINTED_AMOUNT_TOL,
+                        AS_PRINTED_SUM_TOL, FAMILIES, PROPORTION_SUM_TOL,
+                        BlockedDesign, Run, Violation, pair_indices,
+                        validate_columns)
 from oamix.errors import (EmptyDesign, EmptySupport, InvalidDesign,
                           InvalidPermutation, SchemaError, SingularMatrix,
                           SupportMismatch)
@@ -93,7 +94,8 @@ def expand_runs(runs) -> list[Run]:
 
 
 def design_csv(m: int, kind: str, runs) -> str:
-    """The design file, written one run and one cell at a time."""
+    """The design file, written one run and one cell at a time; runs hold
+    a total on every run or on none."""
     with_amount = any(r.amount is not None for r in runs)
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
@@ -104,7 +106,7 @@ def design_csv(m: int, kind: str, runs) -> str:
         row += [str(z) for z in run.pwo]
         row.append(str(run.block))
         if with_amount:
-            row.append(fmt_num(run.amount) if run.amount is not None else "")
+            row.append(fmt_num(run.amount))
         w.writerow(row)
     return out.getvalue()
 
@@ -117,8 +119,7 @@ def design_csv_per_row(design: BlockedDesign) -> str:
     columns = [_formatted(design.values, fmt_num), _INT8_CELLS[design.pwo],
                _formatted(design.block, str)[:, None]]
     if with_amount:
-        columns.append(_formatted(
-            design.amount, lambda a: "" if math.isnan(a) else fmt_num(a))[:, None])
+        columns.append(_formatted(design.amount, fmt_num)[:, None])
     rows = map(",".join, np.hstack(columns).tolist())
     return header + "".join(f"{i},{row}\n" for i, row in enumerate(rows, 1))
 
@@ -141,8 +142,8 @@ def _refuse_first_bad_line(data, m: int, npairs: int, with_amount: bool):
                 float(cell)
             for cell in row[1 + m:2 + m + npairs]:
                 _integer(cell)
-            if with_amount and row[-1].strip():
-                float(row[-1].strip())
+            if with_amount:
+                float(row[-1])
         except ValueError as e:
             raise SchemaError(f"line {lineno}: {e}") from None
 
@@ -176,9 +177,7 @@ def parse_design_csv_per_cell(text: str) -> BlockedDesign:
     if not data:
         raise EmptyDesign("design file has a header but no data rows")
     npairs = len(pair_indices(m))
-    given = ([row[-1].strip() for row in data] if with_amount
-             else [""] * len(data))
-    k = m + npairs + 1
+    k = m + npairs + 1 + with_amount
     try:
         if set(map(len, data)) != {len(header)}:
             raise ValueError
@@ -186,18 +185,18 @@ def parse_design_csv_per_cell(text: str) -> BlockedDesign:
             map(operator.itemgetter(slice(1, 1 + k)), data))),
             dtype=float, count=len(data) * k)
         F = cells.reshape(len(data), k)
-        integral = F[:, m:]
+        integral = F[:, m:m + npairs + 1]
         if not (np.isfinite(integral)
                 & (np.floor(integral) == integral)).all():
             raise ValueError
-        amount = np.array([float(c) if c else math.nan for c in given])
     except ValueError:
         _refuse_first_bad_line(data, m, npairs, with_amount)
         raise
-    V, Z, B = F[:, :m], F[:, m:m + npairs], F[:, -1]
+    V, Z, B = F[:, :m], F[:, m:m + npairs], F[:, m + npairs]
+    amount = F[:, -1] if with_amount else np.full(len(data), math.nan)
     n_blocks = min(int(B.max()), len(data))
     violations = validate_columns(m, kind, n_blocks, True, V, Z, B, amount,
-                                  [c != "" for c in given])
+                                  with_amount)
     if violations:
         raise InvalidDesign(violations)
     return BlockedDesign.from_arrays(m, kind, V, Z, B, amount, n_blocks,
@@ -213,6 +212,7 @@ def run_violations(m: int, kind: str, runs, n_blocks: int,
     npairs = len(pair_indices(m))
     pairs = pair_indices(m)
     sum_tol = AS_PRINTED_SUM_TOL if as_printed else PROPORTION_SUM_TOL
+    amount_tol = AS_PRINTED_AMOUNT_TOL if as_printed else AMOUNT_SUM_TOL
 
     if m < 2:
         out.append(Violation(None, "component_count",
@@ -265,8 +265,7 @@ def run_violations(m: int, kind: str, runs, n_blocks: int,
                                      "amount kind requires a total amount"))
             elif math.isfinite(run.amount):
                 s = sum(run.values)
-                if abs(run.amount - s) > AMOUNT_SUM_TOL * max(1.0,
-                                                              abs(run.amount)):
+                if abs(run.amount - s) > amount_tol * abs(run.amount):
                     out.append(Violation(
                         idx, "amount_mismatch",
                         f"amount {run.amount} != value sum {s}"))

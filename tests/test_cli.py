@@ -51,6 +51,16 @@ def test_catalog_amount_round_trip(tmp_path):
     assert write_design_csv(design) == out.read_text()
 
 
+@pytest.mark.parametrize("a_max", ["1.2345678", "3.3333333", "0.123456789",
+                                   "123456.789"])
+def test_catalog_amount_file_evaluates_at_any_a_max(tmp_path, a_max):
+    # cells keep 6 digits, so printed values and totals differ by ~1e-5
+    out = catalog_file(tmp_path, "ca-projection", "--a-max", a_max)
+    assert write_design_csv(parse_design_csv(out.read_text())) == \
+        out.read_text()
+    assert run_cli("eval", "-i", str(out), "--model", "ca-q") == 0
+
+
 def test_catalog_rejects_a_max_elsewhere(tmp_path, capsys):
     # any explicit --a-max, the default value included
     for a_max in ("50", "1"):

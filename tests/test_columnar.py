@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (design_csv, design_csv_per_row, expand_runs,
                       parse_design_csv_per_cell, pwo_from_run, run_violations,
@@ -30,12 +30,15 @@ PLANTS = FINITE_PLANTS + ("nan_value", "inf_value", "inf_amount")
 
 
 @st.composite
-def designs(draw, ordered=True, plants=()):
+def designs(draw, ordered=True, plants=(), whole_totals=False,
+            kinds=("proportion", "amount")):
     """A design whose values are exact in eighths (so they survive the
     6-digit CSV format), with every block used, and with up to three
-    planted bad cells drawn from plants."""
+    planted bad cells drawn from plants. With whole_totals, as a design
+    file needs, a total is on every run or on none: amount_absent takes
+    every run's, and amount_negative plants no total."""
     m = draw(st.integers(2, 6))
-    kind = draw(st.sampled_from(["proportion", "amount"]))
+    kind = draw(st.sampled_from(kinds))
     n_blocks = draw(st.integers(1, 3))
     n = draw(st.integers(n_blocks, 8))
     scale = draw(st.sampled_from([1.0, 2.5, 100.0])) if kind == "amount" else 1.0
@@ -79,9 +82,11 @@ def designs(draw, ordered=True, plants=()):
         elif plant == "block":
             run[2] = draw(st.sampled_from([0, n_blocks + 1]))
         elif plant == "amount_absent":
-            run[3] = None
+            for r in runs if whole_totals else [run]:
+                r[3] = None
         elif plant == "amount_negative":
-            run[3] = -1.0 if run[3] is None else -run[3]
+            if run[3] is not None or not whole_totals:
+                run[3] = -1.0 if run[3] is None else -run[3]
         elif plant == "nan_value":
             values[comp] = math.nan
         elif plant == "inf_value":
@@ -115,15 +120,15 @@ def test_expand_matches_run_by_run_expansion(d):
 
 
 @settings(max_examples=150, deadline=None)
-@given(designs(plants=FINITE_PLANTS))
+@given(designs(plants=FINITE_PLANTS, whole_totals=True))
 def test_csv_is_byte_identical_to_the_run_by_run_writer(d):
     assert write_design_csv(d) == design_csv(d.m, d.kind, d.runs)
 
 
 @settings(max_examples=150, deadline=None)
-@given(designs(plants=FINITE_PLANTS), st.booleans())
+@given(designs(plants=FINITE_PLANTS, whole_totals=True), st.booleans())
 def test_csv_is_byte_identical_to_the_per_row_writer(d, expand):
-    # amounts: none, on every run, or on some (an empty A cell)
+    # amounts: on every run or on none
     if expand and not d.pwo.any() and (d.values > 0).any(axis=1).all():
         d = oofa_expand(d)
     assert write_design_csv(d) == design_csv_per_row(d)
@@ -144,8 +149,36 @@ def test_validate_matches_the_run_by_run_rules(d):
                            d.n_blocks, d.as_printed)
 
 
+@settings(max_examples=300, deadline=None)
+@given(designs(kinds=("amount",), plants=PLANTS), st.integers(-400, 400))
+def test_validate_verdicts_hold_at_any_power_of_two_scale(d, k):
+    # scaling by 2^k is exact, so a rule relative to the total gives the
+    # same (run, rule) list at every scale of units
+    scaled = BlockedDesign.from_arrays(
+        d.m, d.kind, np.ldexp(d.values, k), d.pwo, d.block,
+        np.ldexp(d.amount, k), d.n_blocks, d.as_printed)
+    assert [v[:2] for v in validate_design(scaled)] == \
+        [v[:2] for v in validate_design(d)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(designs(plants=FINITE_PLANTS, whole_totals=True), st.data())
+def test_writer_refuses_partial_totals_by_run(d, data):
+    assume(d.n > 1)
+    without = sorted(data.draw(st.sets(st.integers(0, d.n - 1), min_size=1,
+                                       max_size=d.n - 1)))
+    amount = np.where(np.isnan(d.amount), 0.5, d.amount)
+    amount[without] = math.nan
+    partial = BlockedDesign.from_arrays(d.m, d.kind, d.values, d.pwo, d.block,
+                                        amount, d.n_blocks, d.as_printed)
+    with pytest.raises(InvalidDesign) as exc:
+        write_design_csv(partial)
+    assert [(v.run_index, v.rule, v.message) for v in exc.value.violations] \
+        == [(r, "non_finite_value", "amount is nan") for r in without]
+
+
 @settings(max_examples=200, deadline=None)
-@given(designs(plants=FINITE_PLANTS))
+@given(designs(plants=FINITE_PLANTS, whole_totals=True))
 def test_parser_reports_the_run_by_run_rules(d):
     text = write_design_csv(d)
     n_blocks = min(int(d.block.max()), d.n)
@@ -180,7 +213,7 @@ def mutated_files(draw):
     around a cell, CRLF line ends, blank (or whitespace) lines, fractions
     or words in cells, a cell dropped or added, a comma quoted in a run
     cell."""
-    d = draw(designs(plants=FINITE_PLANTS))
+    d = draw(designs(plants=FINITE_PLANTS, whole_totals=True))
     rows = [line.split(",") for line in write_design_csv(d).splitlines()]
     ends = ["\n"] * len(rows)
     for _ in range(draw(st.integers(0, 5))):
@@ -247,27 +280,26 @@ def with_amount_cells(cells: dict[int, str], x1: str = "") -> str:
 
 
 @pytest.mark.parametrize("cells, x1, want", [
-    ({3: ""}, "", None), ({3: "  "}, "", None), ({3: '""'}, "", None),
-    ({2: "", 25: ""}, "", None),
+    ({3: ""}, "", "line 3: could not convert string to float: ''"),
+    ({3: "  "}, "", "line 3: could not convert string to float: '  '"),
+    ({3: '""'}, "", "line 3: could not convert string to float: ''"),
+    ({2: "", 25: ""}, "", "line 2: could not convert string to float: ''"),
     ({3: "nan"}, "", "amount is nan"),
     ({3: " NaN "}, "", "amount is nan"),
     ({3: "abc"}, "", "line 3: could not convert string to float: 'abc'"),
     ({3: "1e"}, "", "line 3: could not convert string to float: '1e'"),
-    ({2: "", 4: "abc"}, "",
+    ({4: "abc", 5: ""}, "",
      "line 4: could not convert string to float: 'abc'"),
-    ({2: "", 4: "abc"}, "x",
+    ({4: "", 5: "abc"}, "x",
      "line 3: could not convert string to float: 'x'"),
 ])
 def test_amount_cells_read_as_the_per_cell_reader(cells, x1, want):
-    # an empty A cell sends the file through the per-cell _amount; a `nan`
-    # or a bad cell must end where that reading ends
+    # an A cell is a number cell: an empty one is refused by its line, and
+    # a `nan` is a given total that is not finite
     text = with_amount_cells(cells, x1)
     got = read(parse_design_csv, text)
     assert got == read(parse_design_csv_per_cell, text)
-    if want is None:
-        absent = [lineno - 2 for lineno in cells]
-        assert got[-2] == [i in absent for i in range(24)]
-    elif want.startswith("line"):
+    if want.startswith("line"):
         assert got[:2] == (SchemaError, want)
     else:
         assert got[0] is InvalidDesign
@@ -279,7 +311,7 @@ def test_amount_cell_with_an_underscore_is_refused_by_line():
     # float() reads 1_0, so the per-cell reader is no reference here
     with pytest.raises(SchemaError, match=r"^line 3: could not convert "
                        r"string to float: '1_0'$"):
-        parse_design_csv(with_amount_cells({2: "", 3: "1_0"}))
+        parse_design_csv(with_amount_cells({3: "1_0"}))
 
 
 CELL_CHARS = "0123456789.eE+-_ \t\xa0\x0b\x0c\x1finfatyxI\u0661\uff11\u2003"

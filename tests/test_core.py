@@ -63,6 +63,20 @@ def test_validate_amount_mismatch():
     assert [v.rule for v in report] == ["amount_mismatch"]
 
 
+@pytest.mark.parametrize("total", [1e-100, 1e-3, 1.0, 1e100])
+def test_amount_rule_is_relative_to_the_total(total):
+    def rules(share, as_printed):
+        run = Run((total * share, 0.0, 0.0), (0, 0, 0), 1, amount=total)
+        design = BlockedDesign(3, "amount", [run], 1, as_printed)
+        return [v.rule for v in validate_design(design)]
+
+    assert rules(0.1, False) == rules(0.1, True) == ["amount_mismatch"]
+    # printed cells keep 6 digits: 1e-5 of the total passes as printed only
+    assert rules(1 - 1e-5, False) == ["amount_mismatch"]
+    assert rules(1 - 1e-5, True) == []
+    assert rules(1 - 3e-5, True) == ["amount_mismatch"]
+
+
 def test_validate_amount_kind_requires_amount():
     runs = [Run((1.0, 2.0, 3.0), (1, 1, 1), 1, amount=6.0),
             Run((1.0, 2.0, 3.0), (1, 1, 1), 2)]
@@ -252,6 +266,14 @@ def test_modelmatrix_is_read_only():
     with pytest.raises(ValueError):
         M.data[0, 0] = 1.0
     assert M.column("b").shape == (2,)
+
+
+def test_model_matrices_compare_and_hash_by_identity():
+    X = ModelMatrix(("a", "b"), np.eye(2))
+    twin = ModelMatrix(X.columns, X.data)
+    assert X == X and hash(X) == hash(X)
+    assert X != twin
+    assert {X: 1, twin: 2}[X] == 1
 
 
 def test_model_matrix_factor_is_cached_and_read_only():

@@ -14,7 +14,8 @@ from oamix.errors import InsufficientDF, SchemaError, Unsupported
 from oamix.evaluate import criteria_report
 from oamix.fit import ols_fit, predict
 from oamix.linalg import _inverse
-from oamix.modelmat import build_model_matrix, default_interaction_subset
+from oamix.modelmat import (build_model_matrix, coded_model_matrix,
+                            default_interaction_subset)
 
 
 def t3_matrix(block=True):
@@ -245,3 +246,19 @@ def test_fit_refuses_standard_errors_past_the_float_range():
             ols_fit(X, 1e110 * np.array([1.0, -1.0, -1.0, 1.0]))
     assert str(exc.value) == ("the standard errors of columns t are past the "
                               "largest float: scale their units up")
+
+
+def test_predict_refuses_a_matrix_of_another_basis():
+    # the two bases share column names, so only the basis tells them apart
+    spec = ModelSpec("scheffe_quadratic", include_pwo=True,
+                     interaction_terms=default_interaction_subset(3),
+                     include_block=True)
+    raw = build_model_matrix(czitrom_d_oofa(), spec)
+    coded = coded_model_matrix(czitrom_d_oofa(), spec)
+    assert raw.columns == coded.columns
+    y = np.arange(24.0)
+    for fitted, other in ((raw, coded), (coded, raw)):
+        with pytest.raises(SchemaError, match=f"^basis mismatch: fit is in "
+                           f"the {fitted.basis} basis, new matrix in the "
+                           f"{other.basis} basis$"):
+            predict(ols_fit(fitted, y), other)

@@ -142,14 +142,36 @@ def test_non_finite_amount_cell_is_one_rule(value):
     assert exc.value.violations[0].message == f"amount is {float(value)}"
 
 
-def test_empty_amount_cell_is_absent():
-    lines = write_design_csv(czitrom_d_oofa()).splitlines()
-    lines = [lines[0] + ",A"] + [line + ("," if k else ",50")
-                                 for k, line in enumerate(lines[1:])]
-    d = parse_design_csv("\n".join(lines) + "\n")
-    assert d.amount[0] == 50.0 and np.isnan(d.amount[1:]).all()
-    assert d.runs[1].amount is None
-    assert write_design_csv(d) == "\n".join(lines) + "\n"
+def with_amount_cell(cell: str | None) -> str:
+    """The ca-projection file at a_max 100, the `A` cell of line 3 (run 2)
+    replaced by cell unless it is None."""
+    lines = write_design_csv(component_amount_projection_design(100.0))
+    lines = lines.splitlines()
+    if cell is not None:
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+    return "\n".join(lines) + "\n"
+
+
+def test_empty_amount_cell_is_refused_by_its_line():
+    # an amount design needs a total on every run, read like any cell
+    with pytest.raises(SchemaError, match="^line 3: could not convert "
+                                          "string to float: ''$"):
+        parse_design_csv(with_amount_cell(""))
+
+
+@pytest.mark.parametrize("cell", [None, "nan", ""])
+def test_a_design_file_is_read_with_one_loadtxt_call(monkeypatch, cell):
+    # a clean file, a `nan` total (non_finite_value) and an empty A cell
+    # (refused by its line) each cost one np.loadtxt pass
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *a, **kw: calls.append(a) or loadtxt(*a, **kw))
+    try:
+        parse_design_csv(with_amount_cell(cell))
+    except (InvalidDesign, SchemaError):
+        assert cell is not None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("label", ["400000", "1e9", "1e300"])
@@ -173,8 +195,10 @@ def test_writer_refuses_non_finite_values_by_run(component, amount):
     d = BlockedDesign(3, "proportion", runs, 2)
     with pytest.raises(InvalidDesign) as exc:
         write_design_csv(d)
+    # a total on run 2 alone: every other run is named for having none
+    named = range(len(runs)) if amount is not None else [2]
     assert [(v.run_index, v.rule) for v in exc.value.violations] == \
-        [(2, "non_finite_value")]
+        [(r, "non_finite_value") for r in named]
 
 
 def test_response_file_reads_the_last_cell_of_each_line():
