@@ -84,9 +84,22 @@ def _design_and_spec(args):
     return design, spec
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float as None: strict JSON (RFC 8259) has
+    no NaN or Infinity, so a power with no residual degrees of freedom or
+    a det_xtx past the float range is written as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _print_json(obj) -> None:
     import json  # only the --json reports load it
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(_finite_or_null(obj), indent=2, allow_nan=False))
 
 
 def _positive_int(text: str) -> int:

@@ -198,6 +198,49 @@ def test_power_json_matches_published_table(tmp_path, capsys):
     assert obj["notes"]
 
 
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_writes_non_finite_values_as_null(tmp_path, capsys):
+    # n = p: no residual degrees of freedom, so every power is nan
+    base = catalog_file(tmp_path, "czitrom-d").read_text().splitlines()
+    square = tmp_path / "square.csv"
+    square.write_text("\n".join(base[:8]) + "\n")
+    capsys.readouterr()
+    assert run_cli("eval", "-i", str(square), "--model", "scheffe-q",
+                   "--no-pwo", "--json") == 0
+    obj = strict_json(capsys.readouterr().out)
+    assert obj["n"] == obj["p"] == 7
+    assert [c["power_2sd"] for c in obj["columns"]] == [None] * 7
+    assert all(isinstance(c["se"], float) for c in obj["columns"])
+    # det(X'X) past the float range
+    big = catalog_file(tmp_path, "ca-projection", "--a-max", "1e100")
+    capsys.readouterr()
+    for command in ("eval", "power"):
+        assert run_cli(command, "-i", str(big), "--model", "ca-q",
+                       "--json") == 0
+        obj = strict_json(capsys.readouterr().out)
+        if command == "eval":
+            assert obj["det_xtx"] is None
+            assert isinstance(obj["d_criterion"], float)
+
+
+def test_power_of_a_huge_effect_warns_nothing(tmp_path, capsys):
+    design = catalog_file(tmp_path, "ca-projection", "--a-max", "100")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("power", "-i", str(design), "--model", "ca-q",
+                       "--effect-sd", "1e308", "--json") == 0
+    out, err = capsys.readouterr()
+    assert not err
+    # effect_sd/se overflows: past the noncentrality range, so nan
+    assert {c["power"] for c in strict_json(out)["columns"]} == {None}
+
+
 @pytest.mark.parametrize("option,value", [
     ("--alpha", "1.5"), ("--alpha", "0"), ("--alpha", "nan"),
     ("--effect-sd", "nan"), ("--effect-sd", "inf")])
