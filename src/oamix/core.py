@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .errors import InvalidDesign, SingularMatrix, SpecError
+from .errors import InvalidDesign, SpecError
 
 PROPORTION_SUM_TOL = 1e-9
 AMOUNT_SUM_TOL = 1e-9
@@ -244,8 +244,10 @@ class ModelMatrix:
     factor is the one factorization of data, made on first use and shared
     by every analysis of this matrix, and so are the prediction variances
     of its own rows; data is a private read-only copy, so neither can go
-    stale; its factor holds no raw-unit (X'X)^-1 (see linalg). A matrix
-    equals only itself and hashes by identity, as a BlockedDesign does.
+    stale; its factor holds no raw-unit (X'X)^-1 (see linalg). Only a
+    success is kept: a singular matrix is refused by linalg.factor on every
+    access. A matrix equals only itself and hashes by identity, as a
+    BlockedDesign does.
     """
 
     columns: tuple[str, ...]
@@ -277,21 +279,11 @@ class ModelMatrix:
         return self.data[:, self.columns.index(name)]
 
     @functools.cached_property
-    def _factored(self) -> linalg.Factor | SingularMatrix:
-        try:
-            return linalg.factor(self.data, self.columns)
-        except SingularMatrix as e:
-            return e.with_traceback(None)
-
-    @property
     def factor(self) -> linalg.Factor:
-        """linalg.factor of data, made once. A singular matrix keeps its
-        refusal: every access raises a fresh SingularMatrix with the same
-        message, offending indices and dependent column names."""
-        f = self._factored
-        if isinstance(f, SingularMatrix):
-            raise SingularMatrix(f.args[0], f.offending, f.names)
-        return f
+        """linalg.factor of data, kept once made. A singular matrix keeps
+        nothing: every access factors it again and raises SingularMatrix
+        naming its dependent columns."""
+        return linalg.factor(self.data, self.columns)
 
     @functools.cached_property
     def _own_variances(self) -> np.ndarray:

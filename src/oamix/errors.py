@@ -79,7 +79,8 @@ class SingularMatrix(OamixError):
     """A matrix required to be invertible is singular to working precision.
 
     Carries the indices of the columns that depend on the columns before
-    them, and optionally the corresponding column names.
+    them, and their names (linalg.factor gives an index as the name of a
+    column it was given no name for).
     """
 
     def __init__(self, message: str, offending: tuple[int, ...] = (),
@@ -92,7 +93,4 @@ class SingularMatrix(OamixError):
         base = super().__str__()
         if self.names:
             return f"{base} (columns: {', '.join(self.names)})"
-        if self.offending:
-            cols = ", ".join(str(i) for i in self.offending)
-            return f"{base} (column indices: {cols})"
         return base

@@ -69,8 +69,9 @@ class BlockingReport:
         return tuple(c for c in self.conditions if not c.ok)
 
 
-# integer-valued columns must balance exactly; mixture sums only to
-# printed rounding
+# ordering and interaction columns must balance exactly (tol 0), though an
+# interaction x_i*z_jk is real-valued; polynomial sums only to printed
+# rounding
 _EXACT_CONDITIONS = {"pwo_sum", "interaction_sum"}
 
 
@@ -80,12 +81,13 @@ def check_orthogonal_blocking(design: BlockedDesign, spec: ModelSpec,
 
     Orthogonal blocking holds exactly when each model term sums to the same
     value in every block. Each column's condition comes from its entry in
-    the model's term table. Ordering and interaction columns are integer
-    valued and must balance exactly; component polynomial sums are compared
-    at tol, an absolute bound in the column's own units (amount designs
-    need it scaled), and a negative or NaN tol raises Unsupported. Block
-    sums are correctly rounded (math.fsum), so the verdict does not depend
-    on the order of runs within a block.
+    the model's term table. Ordering and interaction columns must balance
+    exactly (tol 0): the ordering columns are integers, the interactions
+    x_i*z_jk are not. Component polynomial sums are compared at tol, an
+    absolute bound in the column's own units (amount designs need it
+    scaled), and a negative or NaN tol raises Unsupported. Block sums are
+    correctly rounded (math.fsum), so the verdict does not depend on the
+    order of runs within a block.
     """
     if not tol >= 0:
         raise Unsupported(f"tol must be a number >= 0, got {tol}")

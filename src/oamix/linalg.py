@@ -86,8 +86,9 @@ def _r_and_svd(Xs: np.ndarray):
 
 
 def factor(X, names: tuple[str, ...] = ()) -> Factor:
-    """Factor X once; SingularMatrix names the dependent columns, by names
-    (one per column) where given.
+    """Factor X once, or raise SingularMatrix naming the dependent columns
+    by names (one per column), or by their 0-based indices where none are
+    given; it keeps nothing, so a singular X is refused on every call.
 
     The rank counts the singular values of Xs above s_max*max(n, p)*eps. A
     column whose norm is past the largest float counts as zero; the refusal
@@ -96,6 +97,7 @@ def factor(X, names: tuple[str, ...] = ()) -> Factor:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    names = names or tuple(map(str, range(X.shape[1])))
     # norms and se read inf or 0 off the float range; where squares may leave
     # the normal range, a norm is that of the column scaled by 2^-e (exact)
     with np.errstate(over="ignore", under="ignore"):
@@ -113,16 +115,13 @@ def factor(X, names: tuple[str, ...] = ()) -> Factor:
             cond = s[0] / s[-1] if s.size == p and s[-1] > 0 else np.inf
             message = (f"model matrix has rank {r} of {p} columns "
                        f"(equilibrated condition number {cond:.3g})")
-            huge = [names[j] if names else str(j)
-                    for j in np.flatnonzero(np.isinf(norms)).tolist()]
+            huge = [names[j] for j in np.flatnonzero(np.isinf(norms))]
             if huge:
                 message += (f"; the norms of columns {', '.join(huge)} are "
                             "past the largest float, so they count as zero: "
                             "scale their units down")
             dep = _dependent(R, tol)
-            raise SingularMatrix(message, offending=dep,
-                                 names=tuple(names[j] for j in dep) if names
-                                 else ())
+            raise SingularMatrix(message, dep, tuple(names[j] for j in dep))
         W = Vt.T / s
         f = Factor(Xs, norms, s, W, np.linalg.norm(W, axis=1) / norms)
     for a in f:

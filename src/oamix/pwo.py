@@ -102,11 +102,11 @@ def permutation_from_pwo(pwo: Sequence[int], support: Iterable[int],
                          m: int | None = None) -> tuple[int, ...]:
     """Recover the unique addition order encoded by a PWO vector.
 
-    Ranks the support by precedence out-degree, then accepts that order
-    only if it encodes back to pwo. Refuses an entry outside {-1, 0, +1}
-    and a cyclic pattern (InconsistentPWO), and a support member outside
-    1..m, a zero support pair or a nonzero pair off the support
-    (SupportMismatch). m defaults to the pair count implied by len(pwo).
+    Ranks the support by precedence out-degree. Refuses an entry outside
+    {-1, 0, +1} and a cyclic pattern, whose out-degrees are not distinct
+    (InconsistentPWO), and a support member outside 1..m, a zero support
+    pair or a nonzero pair off the support (SupportMismatch). m defaults to
+    the pair count implied by len(pwo).
     """
     z = np.array(pwo).reshape(-1)
     if m is None:
@@ -117,10 +117,10 @@ def permutation_from_pwo(pwo: Sequence[int], support: Iterable[int],
     members = sorted({int(i) for i in support})
     if members and not 1 <= members[0] <= members[-1] <= m:
         raise SupportMismatch(f"support {members} is not within 1..{m}")
-    on = np.zeros((1, m), dtype=bool)
-    on[0, np.array(members, dtype=np.intp) - 1] = True
+    on = np.zeros(m, dtype=bool)
+    on[np.array(members, dtype=np.intp) - 1] = True
     J, K, first, second = _incidence(m)
-    pair_on = on[0, J] & on[0, K]
+    pair_on = on[J] & on[K]
     unit = (z == -1) | (z == 0) | (z == 1)
     for q in np.flatnonzero(~unit | (pair_on == (z == 0))):
         (j, k), zq = pairs[q], z[q].item()
@@ -129,15 +129,15 @@ def permutation_from_pwo(pwo: Sequence[int], support: Iterable[int],
         raise SupportMismatch(
             f"z{j}{k} = 0 but both components are in the support" if zq == 0
             else f"z{j}{k} = {zq:+g} but the pair touches an absent component")
+    # every support pair is ordered: the pattern is a total order exactly
+    # when the out-degrees are distinct (then s-1, ..., 0), and it is the
+    # support sorted by them
     wins = (z > 0) @ first + (z < 0) @ second
-    order = sorted(members, key=lambda i: (-wins[i - 1], i))
-    step = np.zeros((1, m), dtype=np.intp)
-    step[0, np.array(order, dtype=np.intp) - 1] = np.arange(len(order))
-    if not np.array_equal(_rows(step, on)[0], z):
-        degrees = {i: int(wins[i - 1]) for i in members}
+    degrees = {i: int(wins[i - 1]) for i in members}
+    if len(set(degrees.values())) < len(degrees):
         raise InconsistentPWO(
             f"precedence out-degrees {degrees} do not form a total order")
-    return tuple(order)
+    return tuple(sorted(members, key=degrees.__getitem__, reverse=True))
 
 
 def enumerate_orderings(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:

@@ -396,12 +396,10 @@ def fds_curve_per_sample(design: BlockedDesign, spec, n_samples: int,
 
 
 def support_pair_rules(m: int, runs) -> list[tuple[int, str]]:
-    """(run index, rule) for pwo_partial and pwo_cyclic, from
-    permutation_from_pwo over each run's positive components; runs with a
-    pwo entry outside {-1, 0, +1} are not judged."""
-    from oamix.errors import InconsistentPWO
-    from oamix.pwo import permutation_from_pwo
-
+    """(run index, rule) for pwo_partial and pwo_cyclic over each run's
+    positive components; runs with a pwo entry outside {-1, 0, +1} are not
+    judged. A fully ordered run is cyclic when no order of its support
+    encodes it: every order is tried, not the out-degree rule."""
     out = []
     for idx, run in enumerate(runs):
         if any(z not in (-1, 0, 1) for z in run.pwo):
@@ -416,9 +414,9 @@ def support_pair_rules(m: int, runs) -> list[tuple[int, str]]:
         if 0 in zs:
             out.append((idx, "pwo_partial"))
             continue
-        try:
-            permutation_from_pwo([z if o else 0 for z, o in zip(run.pwo, on)],
-                                 support, m)
-        except InconsistentPWO:
+        before = [(j, k) if z > 0 else (k, j)
+                  for (j, k), z, o in zip(pair_indices(m), run.pwo, on) if o]
+        if not any(all(order.index(a) < order.index(b) for a, b in before)
+                   for order in itertools.permutations(sorted(support))):
             out.append((idx, "pwo_cyclic"))
     return out

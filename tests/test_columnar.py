@@ -149,6 +149,23 @@ def test_validate_matches_the_run_by_run_rules(d):
                            d.n_blocks, d.as_printed)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_validate_judges_every_full_support_pattern_like_the_oracle(m):
+    # one run per +/-1 pattern on a full support: every tournament on m
+    # components, where the random designs seldom plant each kind of cycle
+    n = 2 ** (m * (m - 1) // 2)
+    pwo = 1 - 2 * ((np.arange(n)[:, None] >> np.arange(n.bit_length() - 1))
+                   & 1)
+    values = np.full((n, m), 1.0 / m)
+    runs = [Run(tuple(v), tuple(z)) for v, z in zip(values.tolist(),
+                                                    pwo.tolist())]
+    design = BlockedDesign.from_arrays(m, "proportion", values, pwo,
+                                       np.ones(n), None, 1)
+    got = [(v.run_index, v.rule) for v in validate_design(design)]
+    assert got == support_pair_rules(m, runs)
+    assert len(got) == n - math.factorial(m)
+
+
 @settings(max_examples=300, deadline=None)
 @given(designs(kinds=("amount",), plants=PLANTS), st.integers(-400, 400))
 def test_validate_verdicts_hold_at_any_power_of_two_scale(d, k):

@@ -194,7 +194,7 @@ def test_own_row_variances_are_made_once_for_criteria_and_predict(
                         kernel(f, rows))
     apart = ModelMatrix(X.columns, X.data)
     np.testing.assert_array_equal(predict(fit, apart)[1], variances)
-    assert calls == [X.n] and "_factored" not in vars(apart)
+    assert calls == [X.n] and "factor" not in vars(apart)
     pts = X.data[:3].copy()
     pts[1, 0] = np.nan
     with pytest.raises(SchemaError, match="row 2 is not finite"):

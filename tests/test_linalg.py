@@ -121,6 +121,9 @@ def test_singular_matrix_reports_offending_columns():
     with pytest.raises(SingularMatrix) as exc:
         factor(M)
     assert exc.value.offending == (1,)
+    # given no names, factor names each column by its index
+    assert exc.value.names == ("1",)
+    assert str(exc.value).endswith("(columns: 1)")
     assert "rank 2 of 3" in str(exc.value)
 
 
