@@ -17,7 +17,7 @@ from . import catalog as cat
 from .core import (COMPONENT_AMOUNT_LINEAR, COMPONENT_AMOUNT_QUADRATIC,
                    K_QUADRATIC, MIXTURE_AMOUNT_LINEAR,
                    MIXTURE_AMOUNT_QUADRATIC, SCHEFFE_QUADRATIC, ModelSpec)
-from .errors import InsufficientDF, OamixError, SingularMatrix
+from .errors import InsufficientDF, OamixError, SchemaError, SingularMatrix
 
 # Each command imports the modules it needs inside its handler, so that a
 # fresh process compiles and runs only those: catalog and expand never load
@@ -34,8 +34,11 @@ MODEL_FAMILIES = {
 
 
 def _read(path: str) -> str:
-    with open(path, "r") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path} is not UTF-8 text: {e}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -263,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pwo", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="include pairwise-ordering columns")
-        p.add_argument("--block", action=argparse.BooleanOptionalAction,
-                       default=True, help="include the block column")
+        if p.prog != "oamix check-blocks":  # its check reads no block column
+            p.add_argument("--block", action=argparse.BooleanOptionalAction,
+                           default=True, help="include the block column")
         p.add_argument("--interactions", default="default",
                        help="default | none | full | comma list i:jk "
                             "(e.g. 1:12,1:13,2:23)")
@@ -288,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=5e-3,
                    help="tolerance for component-term block sums")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check_blocks)
+    p.set_defaults(func=_cmd_check_blocks, block=False)
 
     p = sub.add_parser("eval", help="optimality criteria report")
     add_model_opts(p)

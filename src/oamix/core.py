@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -74,7 +75,7 @@ class Run:
 
     values: component proportions or amounts, length m.
     pwo: the m(m-1)/2 pairwise ordering values in {-1, 0, +1}, pair-lex order.
-    block: 1-based block label.
+    block: 1-based block label. Neither pwo nor block is truncated.
     amount: total amount A for amount designs; None for proportion designs
     unless the design carries amount levels (mixture-amount use).
     """
@@ -86,7 +87,7 @@ class Run:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(map(float, self.values)))
-        object.__setattr__(self, "pwo", tuple(map(int, self.pwo)))
+        object.__setattr__(self, "pwo", tuple(self.pwo))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -98,7 +99,8 @@ class BlockedDesign:
     no total amount). BlockedDesign(m, kind, runs, n_blocks) takes Run
     objects and refuses with InvalidDesign what the columns cannot hold: a
     run of the wrong length, a NaN amount (NaN is "no amount"), a pwo entry
-    outside int8. runs is a view of the columns as Run objects.
+    or block label its integer column would change (validate_columns' rule
+    and message). runs is a view of the columns as Run objects.
     """
 
     m: int
@@ -130,8 +132,7 @@ class BlockedDesign:
         if bad:
             raise InvalidDesign(bad)
         self._store(m, kind, n_blocks, as_printed,
-                    [r.values for r in runs],
-                    np.array([r.pwo for r in runs], dtype=np.int64),
+                    [r.values for r in runs], [r.pwo for r in runs],
                     [r.block for r in runs],
                     [math.nan if r.amount is None else r.amount for r in runs])
 
@@ -153,7 +154,7 @@ class BlockedDesign:
                   "block": (n,), "amount": (n,)}
         columns = {"values": np.array(values, dtype=float),
                    "pwo": np.asarray(pwo),
-                   "block": np.array(block, dtype=np.int64),
+                   "block": np.asarray(block),
                    "amount": np.array(amount, dtype=float)}
         # a column of another run count or width is refused, never reshaped
         wrong = [Violation(None, "column_shape", f"{name} has shape "
@@ -164,18 +165,16 @@ class BlockedDesign:
             raise InvalidDesign(wrong)
         columns = {name: a.reshape(shapes[name])
                    for name, a in columns.items()}
-        pwo = columns["pwo"]
         with np.errstate(invalid="ignore"):
-            pwo8 = pwo.astype(np.int8)
-        lost = pwo8 != pwo  # beyond int8, or not an integer
-        if lost.any():
-            pairs = pair_indices(m)
+            cast = {"pwo": columns["pwo"].astype(np.int8),
+                    "block": columns["block"].astype(np.int64)}
+        # an entry its cast changes is out of range: the validator names it
+        if any((a != columns[name]).any() for name, a in cast.items()):
             raise InvalidDesign([
-                Violation(r, "pwo_entry_range",
-                          f"z{pairs[q][0]}{pairs[q][1]} = {pwo[r, q].item()} "
-                          "not in {-1,0,+1}")
-                for r, q in zip(*(a.tolist() for a in np.nonzero(lost)))])
-        columns["pwo"] = pwo8
+                v for v in validate_columns(m, kind, n_blocks, as_printed,
+                                            **columns)
+                if v.rule in ("pwo_entry_range", "block_label_range")])
+        columns.update(cast)
         for a in columns.values():
             a.flags.writeable = False
         fields = dict(columns, m=m, kind=kind, n_blocks=n_blocks,
@@ -214,17 +213,22 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise SpecError(f"unknown model family: {self.family!r}")
-        terms = tuple((int(i), (int(k), int(l)))
-                      for i, (k, l) in self.interaction_terms)
-        object.__setattr__(self, "interaction_terms", terms)
-        if terms and not self.include_pwo:
+        if self.interaction_terms and not self.include_pwo:
             raise SpecError("interaction terms require include_pwo=True")
-        for i, (k, l) in terms:
+        terms = []
+        for term in self.interaction_terms:
+            try:  # numpy integers become int: the term table is cached by spec
+                i, k, l = map(operator.index, (term[0], *term[1]))
+            except TypeError:
+                raise SpecError(f"interaction term {term} has an index that "
+                                "is not an integer") from None
             if not (1 <= k < l):
                 raise SpecError(f"interaction pair ({k},{l}) must have k < l")
             if i not in (k, l):
                 raise SpecError(
                     f"interaction component {i} must belong to its pair ({k},{l})")
+            terms.append((i, (k, l)))
+        object.__setattr__(self, "interaction_terms", tuple(terms))
 
     @property
     def include_intercept(self) -> bool:
@@ -355,7 +359,8 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
                      has_amount=None) -> list[Violation]:
     """validate_design on bare columns, in one pass over the arrays.
 
-    pwo and block may be any numeric type. has_amount, a bool, says
+    pwo and block may be any numeric type: a fraction, NaN or inf is out of
+    range in either, and is printed as given. has_amount, a bool, says
     whether the runs were given amounts (a design file's `A` column gives
     every run one), so that a given NaN is non-finite, not absent; by
     default a run has one when it is not NaN. A run's support
@@ -376,6 +381,9 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
         head.append(Violation(None, "kind", f"unknown design kind {kind!r}"))
     if not n:
         head.append(Violation(None, "empty_design", "design has no runs"))
+
+    def given(x):  # a pwo or block entry as given, a whole one as an int
+        return str(int(x)) if float(x).is_integer() else str(x)
 
     def add(rank, rule, mask, message):
         """One violation per True entry of mask (n, or n x k), sorted by
@@ -398,10 +406,10 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
             lambda r, _: f"amount is {float(A[r])}")
         if pairs:
             J, K, first, second = _incidence(m)
-            bad = (Z < -1) | (Z > 1)
+            bad = ~((Z == 0) | (np.abs(Z) == 1))  # fractions, NaN, inf
             add(2, "pwo_entry_range", bad,
-                lambda r, q: f"z{pairs[q][0]}{pairs[q][1]} = {int(Z[r, q])} "
-                             "not in {-1,0,+1}")
+                lambda r, q: f"z{pairs[q][0]}{pairs[q][1]} = "
+                             f"{given(Z[r, q])} not in {{-1,0,+1}}")
             absent = ~(V > 0)  # the support rule of pwo.py; NaN is absent
             off = absent[:, J] | absent[:, K]
             ordered = (Z != 0) & ~bad
@@ -438,8 +446,8 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
                 lambda r, _: f"amount {float(A[r])} != value sum {float(s[r])}")
             add(5, "negative_amount", finite_a & (A < 0),
                 lambda r, _: f"amount {float(A[r])} < 0")
-        add(6, "block_label_range", (B < 1) | (B > n_blocks),
-            lambda r, _: f"block {int(B[r])} outside 1..{n_blocks}")
+        add(6, "block_label_range", ~((B >= 1) & (B <= n_blocks) & (B % 1 == 0)),
+            lambda r, _: f"block {given(B[r])} outside 1..{n_blocks}")
 
     found.sort(key=lambda t: t[:3])
     seen_blocks = set(B.tolist())

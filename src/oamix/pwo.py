@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _incidence, pair_indices
+from .core import _incidence, pair_indices, validate_columns
 from .errors import (EmptySupport, InconsistentPWO, InvalidPermutation,
                      SupportMismatch)
 
@@ -102,42 +102,34 @@ def permutation_from_pwo(pwo: Sequence[int], support: Iterable[int],
                          m: int | None = None) -> tuple[int, ...]:
     """Recover the unique addition order encoded by a PWO vector.
 
-    Ranks the support by precedence out-degree. Refuses an entry outside
-    {-1, 0, +1} and a cyclic pattern, whose out-degrees are not distinct
-    (InconsistentPWO), and a support member outside 1..m, a zero support
-    pair or a nonzero pair off the support (SupportMismatch). m defaults to
-    the pair count implied by len(pwo).
+    Judged as one run on its support by validate_columns: pwo_entry_range
+    and pwo_cyclic raise InconsistentPWO, and its other PWO rules, a support
+    member outside 1..m and a support with no ordered pair (a valid run, no
+    order) SupportMismatch, with the validator's message. The support is
+    ranked by precedence out-degree. m defaults to the count len(pwo) implies.
     """
     z = np.array(pwo).reshape(-1)
     if m is None:
         m = round((1 + (1 + 8 * len(z)) ** 0.5) / 2)
-    pairs = pair_indices(m)
-    if len(z) != len(pairs):
+    if len(z) != len(pair_indices(m)):
         raise SupportMismatch(f"pwo length {len(z)} does not match m={m}")
     members = sorted({int(i) for i in support})
     if members and not 1 <= members[0] <= members[-1] <= m:
         raise SupportMismatch(f"support {members} is not within 1..{m}")
-    on = np.zeros(m, dtype=bool)
-    on[np.array(members, dtype=np.intp) - 1] = True
-    J, K, first, second = _incidence(m)
-    pair_on = on[J] & on[K]
-    unit = (z == -1) | (z == 0) | (z == 1)
-    for q in np.flatnonzero(~unit | (pair_on == (z == 0))):
-        (j, k), zq = pairs[q], z[q].item()
-        if not unit[q]:
-            raise InconsistentPWO(f"z{j}{k} = {zq} is not in {{-1,0,+1}}")
-        raise SupportMismatch(
-            f"z{j}{k} = 0 but both components are in the support" if zq == 0
-            else f"z{j}{k} = {zq:+g} but the pair touches an absent component")
-    # every support pair is ordered: the pattern is a total order exactly
-    # when the out-degrees are distinct (then s-1, ..., 0), and it is the
-    # support sorted by them
+    on = np.isin(np.arange(1, m + 1), members)[None]  # the run's values
+    for v in validate_columns(m, "proportion", 1, False, on, z[None], [1],
+                              [math.nan]):
+        if v.rule in ("pwo_entry_range", "pwo_cyclic"):
+            raise InconsistentPWO(v.message)
+        if v.rule.startswith("pwo_"):  # ordered off the support or on part
+            raise SupportMismatch(v.message)
+    if len(members) > 1 and not z.any():
+        raise SupportMismatch(f"z{members[0]}{members[1]} = 0 but both "
+                              "components are in the support")
+    # a valid ordered run: its support's out-degrees are s-1, ..., 0
+    first, second = _incidence(m)[2:]
     wins = (z > 0) @ first + (z < 0) @ second
-    degrees = {i: int(wins[i - 1]) for i in members}
-    if len(set(degrees.values())) < len(degrees):
-        raise InconsistentPWO(
-            f"precedence out-degrees {degrees} do not form a total order")
-    return tuple(sorted(members, key=degrees.__getitem__, reverse=True))
+    return tuple(sorted(members, key=lambda i: wins[i - 1], reverse=True))
 
 
 def enumerate_orderings(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:

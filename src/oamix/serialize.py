@@ -99,14 +99,6 @@ def _number(cell: str) -> float:
     raise ValueError(f"could not convert string to float: {cell!r}")
 
 
-def _integer(cell: str) -> int:
-    """An integral cell such as `1` or `1.0`; anything else is refused."""
-    v = _number(cell)
-    if not v.is_integer():
-        raise ValueError(f"not an integer: {cell.strip()!r}")
-    return int(v)
-
-
 def _data_rows(data: str, start: int, prefix: str = ""):
     """(line number, cells) of every line of data, numbering its first line
     start and skipping blank lines; a line that csv cannot split (a bare CR
@@ -133,8 +125,9 @@ def _refuse_first_bad_line(data: str, m: int, npairs: int, with_amount: bool):
         try:
             for cell in row[1:1 + m]:
                 _number(cell)
-            for cell in row[1 + m:2 + m + npairs]:
-                _integer(cell)
+            for cell in row[1 + m:2 + m + npairs]:  # `1` or `1.0` only
+                if not _number(cell).is_integer():
+                    raise ValueError(f"not an integer: {cell.strip()!r}")
             if with_amount:
                 _number(row[-1])
         except ValueError as e:

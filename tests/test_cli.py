@@ -136,6 +136,19 @@ def test_check_blocks_json(tmp_path, capsys):
     assert {c["condition"] for c in obj["conditions"]} >= {"pwo_sum"}
 
 
+@pytest.mark.parametrize("option", ["--block", "--no-block"])
+def test_check_blocks_takes_no_block_option(tmp_path, capsys, option):
+    # the blocking check never reads the block column, so the option that
+    # would add it is not offered; the model commands keep it
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    capsys.readouterr()
+    assert run_cli("check-blocks", "-i", str(t3), "--model", "scheffe-q",
+                   option) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run_cli("eval", "-i", str(t3), "--model", "scheffe-q",
+                   option) == 0
+
+
 def test_eval_json_reports_published_metrics(tmp_path, capsys):
     t3 = catalog_file(tmp_path, "czitrom-d-oofa")
     capsys.readouterr()
@@ -316,6 +329,30 @@ def test_fractional_block_is_a_data_error(tmp_path, capsys):
                                          "\n1,0.168,0.832,0,1,0,0,1.7\n"))
     assert run_cli("eval", "-i", str(t3), "--model", "scheffe-q") == 3
     assert "line 2: not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["design", "response", "eval-points"])
+def test_undecodable_input_file_is_a_data_error(tmp_path, capsys, kind):
+    # every input file is read as UTF-8 whatever the locale; a byte that
+    # is not UTF-8 is refused by file name, not raised as a traceback
+    t3 = catalog_file(tmp_path, "czitrom-d-oofa")
+    responses = tmp_path / "y.txt"
+    responses.write_text("1\n" * 24)
+    bad = tmp_path / "bad.csv"
+    files = {"design": t3, "response": responses, "eval-points": t3}
+    bad.write_bytes(files[kind].read_bytes().replace(b"\n", b"\xff\n", 1))
+    files[kind] = bad
+    argv = ["-i", str(files["design"]), "--model", "scheffe-q"]
+    if kind == "response":
+        argv = ["fit", *argv, "--response", str(bad), "-o",
+                str(tmp_path / "fit.csv")]
+    else:
+        argv = ["eval", *argv, "--eval-points", str(files["eval-points"])]
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+    assert "0xff" in err and err.count("\n") == 1
 
 
 def test_fds_outputs_are_deterministic(tmp_path, capsys):

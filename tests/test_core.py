@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from oamix.core import (BlockedDesign, ModelMatrix, ModelSpec, Run,
                         Violation, pair_indices, validate_columns,
                         validate_design)
-from oamix.errors import InvalidDesign, SingularMatrix, SpecError
-from oamix.pwo import pwo_from_permutation
+from oamix.errors import (InconsistentPWO, InvalidDesign, SingularMatrix,
+                          SpecError)
+from oamix.pwo import permutation_from_pwo, pwo_from_permutation
 
 
 def test_pair_indices_lexicographic():
@@ -128,6 +130,56 @@ def test_pwo_entry_beyond_int8_is_refused_with_its_index():
         Violation(1, "pwo_entry_range", "z13 = 300 not in {-1,0,+1}")]
 
 
+def _run_level_answers(values, pwo, block, n_blocks):
+    """The run-level violations of a one-run design from the Run path, the
+    from_arrays path and validate_columns: a constructor's refusal, or
+    else validate_design's report."""
+    def judged(build):
+        try:
+            return validate_design(build())
+        except InvalidDesign as e:
+            return e.violations
+
+    got = [judged(lambda: BlockedDesign(3, "proportion",
+                                        [Run(values, pwo, block)], n_blocks)),
+           judged(lambda: BlockedDesign.from_arrays(
+               3, "proportion", [values], np.array([pwo]), np.array([block]),
+               None, n_blocks)),
+           validate_columns(3, "proportion", n_blocks, False, [values], [pwo],
+                            [block], [math.nan])]
+    return [[v for v in report if v.run_index is not None] for report in got]
+
+
+@pytest.mark.parametrize("z, shown", [(0.5, "0.5"), (math.nan, "nan"),
+                                      (math.inf, "inf"), (-math.inf, "-inf"),
+                                      (2, "2"), (300, "300"), (2.0, "2")])
+def test_one_answer_per_pwo_entry(z, shown):
+    # every path names the entry as given; none truncates 0.5 to 0
+    pwo = (z, 1, 1)
+    message = f"z12 = {shown} not in {{-1,0,+1}}"
+    for report in _run_level_answers((0.2, 0.3, 0.5), pwo, 1, 1):
+        assert report == [Violation(0, "pwo_entry_range", message)]
+    with pytest.raises(InconsistentPWO) as exc:
+        permutation_from_pwo(pwo, {1, 2, 3})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("block, shown", [(2.7, "2.7"), (math.nan, "nan"),
+                                          (math.inf, "inf"), (0, "0"),
+                                          (3, "3"), (-1.0, "-1")])
+def test_one_answer_per_block_label(block, shown):
+    for report in _run_level_answers((0.2, 0.3, 0.5), (1, 1, 1), block, 2):
+        assert report == [Violation(0, "block_label_range",
+                                    f"block {shown} outside 1..2")]
+
+
+def test_integral_float_entries_are_stored_as_integers():
+    d = BlockedDesign(3, "proportion", [Run((0.2, 0.3, 0.5), (1.0, -1.0, 1),
+                                            2.0)], 2)
+    assert d.pwo.tolist() == [[1, -1, 1]] and d.pwo.dtype == np.int8
+    assert d.block.tolist() == [2] and d.block.dtype == np.int64
+
+
 def test_validate_negative_and_range_rules():
     runs = [Run((1.2, -0.2, 0.0), (2, 0, 0), 1),
             Run((0.2, 0.3, 0.5), (1, 1, 1), 2)]
@@ -155,6 +207,23 @@ def test_modelspec_interaction_component_in_pair():
     with pytest.raises(SpecError):
         ModelSpec("scheffe_quadratic", include_pwo=True,
                   interaction_terms=((2, (2, 1)),))
+
+
+@pytest.mark.parametrize("term", [(1.5, (1, 2)), (1, (1.0, 2)),
+                                  (1, (1, np.float64(2)))])
+def test_modelspec_refuses_a_float_interaction_index(term):
+    with pytest.raises(SpecError, match=re.escape(f"interaction term {term}")):
+        ModelSpec("scheffe_quadratic", include_pwo=True,
+                  interaction_terms=((2, (2, 3)), term))
+
+
+def test_modelspec_normalises_numpy_integer_indices():
+    spec = ModelSpec("scheffe_quadratic", include_pwo=True,
+                     interaction_terms=((np.int64(1), (np.int8(1), 2)),))
+    (i, (k, l)), = spec.interaction_terms
+    assert [type(x) for x in (i, k, l)] == [int, int, int]
+    assert spec == ModelSpec("scheffe_quadratic", include_pwo=True,
+                             interaction_terms=((1, (1, 2)),))
 
 
 def test_validate_flags_non_finite_values():

@@ -557,6 +557,91 @@ def test_orthogonal_blocks_make_gls_with_random_blocks_equal_ols(design,
         assert np.abs(_gls(X.data, y, shuffled, eta) - ols).max() > 0.1
 
 
+def _at_block_totals(design, totals, block=None):
+    """design with each run at the total amount of its block."""
+    block = design.block if block is None else block
+    return BlockedDesign.from_arrays(
+        design.m, design.kind, design.values, design.pwo, block,
+        np.asarray(totals, dtype=float)[block - 1], 2, design.as_printed)
+
+
+def _amount_free_move(design, spec):
+    """How far the estimates of the columns free of A move on a seeded
+    response when the centred amount columns x_i (A - mean A) join them."""
+    X = build_model_matrix(design, spec)
+    free = [j for j, name in enumerate(X.columns) if "*A" not in name]
+    alone = ModelMatrix([X.columns[j] for j in free], X.data[:, free])
+    A = design.amount
+    centred = design.values * (A - A.mean())[:, None]
+    both = ModelMatrix(alone.columns + ("c1", "c2", "c3"),
+                       np.hstack([alone.data, centred]))
+    y = np.random.default_rng(15).normal(size=X.n)
+    moved = (np.array(ols_fit(both, y).estimates[:len(free)])
+             - ols_fit(alone, y).estimates)
+    return np.abs(moved).max()
+
+
+@pytest.mark.parametrize("design,g_efficiency", [
+    (czitrom_d_oofa(), 56.791), (aggarwal_a_oofa(), 55.585),
+], ids=["czitrom-d-oofa", "aggarwal-a-oofa"])
+def test_total_amount_as_the_block_factor(design, g_efficiency):
+    # the paper's mixture-amount setting: the total amount A is constant
+    # within each orthogonal block, so the A-terms are the process effects
+    # and the A-free columns (x_i, PWO, interactions) do not see them
+    spec = ModelSpec("mixture_amount_linear", include_pwo=True,
+                     interaction_terms=default_interaction_subset(3))
+    shuffled = np.random.default_rng(5).permutation(design.block)
+    assert np.bincount(shuffled).tolist() == [0, 12, 12]
+    for totals in ((1, 2), (1, 5), (10, 100)):
+        blocked = _at_block_totals(design, totals)
+        report = criteria_report(build_model_matrix(blocked, spec))
+        assert report.p == 12
+        assert report.g_efficiency == pytest.approx(g_efficiency, abs=5e-4)
+        assert _amount_free_move(blocked, spec) <= 1e-12
+        # the control: blocks that are not orthogonal move them
+        assert _amount_free_move(_at_block_totals(design, totals, shuffled),
+                                 spec) > 1
+        # the check holds the A-terms to equal block sums, which blocks at
+        # different totals cannot give
+        assert [c.term for c in check_orthogonal_blocking(
+            blocked, spec).failed()] == ["x1*A", "x2*A", "x3*A"]
+
+
+def _lattice_matrix(q, spec, copies=1, move=None):
+    """Model matrix of the {3, q} simplex lattice, copies of it in as many
+    blocks, with the point move[0] of each copy moved to move[1]."""
+    points = [list(np.array(c) / q) for c in
+              itertools.product(range(q + 1), repeat=3) if sum(c) == q]
+    if move is not None:
+        points[points.index(move[0])] = move[1]
+    block = [1 + i // len(points) for i in range(len(points) * copies)]
+    design = BlockedDesign.from_arrays(3, "proportion", points * copies,
+                                       np.zeros((len(block), 3)), block, None,
+                                       copies)
+    return build_model_matrix(design, spec)
+
+
+def test_lattice_variance_meets_the_kiefer_wolfowitz_bound():
+    # Kiefer & Wolfowitz (1960): a D-optimal design has max d(x) = p/n
+    # over the design region; the {3,2} lattice is D-optimal for the
+    # Scheffe quadratic (Kiefer 1961) and the {3,1} for the linear model
+    quadratic = ModelSpec("scheffe_quadratic")
+    region = _lattice_matrix(60, quadratic).data
+    report = criteria_report(_lattice_matrix(2, quadratic), region)
+    assert (report.n, report.p) == (6, 6)
+    assert report.max_pv == pytest.approx(1.0, abs=1e-12)
+    assert report.g_efficiency == pytest.approx(100.0, abs=1e-9)
+    doubled = criteria_report(_lattice_matrix(2, quadratic, copies=2), region)
+    assert doubled.max_pv == pytest.approx(0.5, abs=1e-12)
+    # off the optimum the bound is passed (1.027 with one midpoint moved)
+    moved = _lattice_matrix(2, quadratic, move=([0.5, 0, 0.5], [0.45, 0, 0.55]))
+    assert criteria_report(moved, region).max_pv > 1.02
+    linear = ModelSpec("scheffe_linear")
+    assert criteria_report(_lattice_matrix(1, linear),
+                           _lattice_matrix(60, linear).data).max_pv == \
+        pytest.approx(1.0, abs=1e-12)
+
+
 def _relabelled(design, perm):
     """design with its new component c the old component perm[c - 1]: the
     values permuted, the PWO columns re-indexed and re-signed to match."""
