@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -63,6 +62,11 @@ FAMILIES = {
 }
 
 
+def _is_integer(v) -> bool:
+    """The one test of an index argument: an int or numpy integer, no bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @functools.lru_cache
 def pair_indices(m: int) -> tuple[tuple[int, int], ...]:
     """All component pairs (j, k), j < k, in lexicographic order, 1-based."""
@@ -97,10 +101,14 @@ class BlockedDesign:
     The runs are held as read-only columns: values (n x m float), pwo
     (n x pairs int8), block (n int) and amount (n float, NaN where a run has
     no total amount). BlockedDesign(m, kind, runs, n_blocks) takes Run
-    objects and refuses with InvalidDesign what the columns cannot hold: a
-    run of the wrong length, a NaN amount (NaN is "no amount"), a pwo entry
-    or block label its integer column would change (validate_columns' rule
-    and message). runs is a view of the columns as Run objects.
+    objects, from_arrays the columns; both store by one path that reads
+    every column as floats and refuses with InvalidDesign what the columns
+    cannot hold: an m that is not an integer (component_count), a row of
+    the wrong width (values_length or pwo_length naming its run, or
+    column_shape when no row has the design's width), a pwo entry or block
+    label its integer column would change (validate_columns' rule and
+    message), and on a Run a NaN amount (NaN is "no amount"). runs is a
+    view of the columns as Run objects.
     """
 
     m: int
@@ -115,20 +123,10 @@ class BlockedDesign:
     def __init__(self, m: int, kind: str, runs, n_blocks: int,
                  as_printed: bool = False):
         runs = tuple(runs)
-        npairs = len(pair_indices(m))
-        bad = []
-        for idx, r in enumerate(runs):
-            if len(r.values) != m:
-                bad.append(Violation(idx, "values_length",
-                                     f"expected {m} values, got {len(r.values)}"))
-                continue
-            if r.amount is not None and math.isnan(r.amount):
-                bad.append(Violation(idx, "non_finite_value",
-                                     f"amount is {r.amount}"))
-            if len(r.pwo) != npairs:
-                bad.append(Violation(idx, "pwo_length",
-                                     f"expected {npairs} pwo entries, "
-                                     f"got {len(r.pwo)}"))
+        # NaN is the amount column's "no amount", so a run cannot give it
+        bad = [Violation(idx, "non_finite_value", f"amount is {r.amount}")
+               for idx, r in enumerate(runs)
+               if r.amount is not None and math.isnan(r.amount)]
         if bad:
             raise InvalidDesign(bad)
         self._store(m, kind, n_blocks, as_printed,
@@ -149,20 +147,37 @@ class BlockedDesign:
 
     def _store(self, m, kind, n_blocks, as_printed, values, pwo, block,
                amount) -> None:
+        if not _is_integer(m):  # no width to read by: the validator's verdict
+            raise InvalidDesign(validate_columns(m, kind, n_blocks, as_printed,
+                                                 values, pwo, block, amount))
         n = len(block)
         shapes = {"values": (n, m), "pwo": (n, len(pair_indices(m))),
                   "block": (n,), "amount": (n,)}
-        columns = {"values": np.array(values, dtype=float),
-                   "pwo": np.asarray(pwo),
-                   "block": np.asarray(block),
-                   "amount": np.array(amount, dtype=float)}
+        units = {"values": "values", "pwo": "pwo entries"}
+        # every column is read as floats, so that any entry reaches the
+        # rules; pwo and block need no copy here: their int casts make one
+        columns, ragged = {}, {}
+        for name, given in zip(shapes, (values, pwo, block, amount)):
+            read = np.asarray if name in ("pwo", "block") else np.array
+            try:
+                columns[name] = read(given, dtype=float)
+            except ValueError:  # rows of several widths: name the wrong ones
+                width = shapes[name][1:]
+                bad = {r: len(row) for r, row in enumerate(given)
+                       if name in units and (len(row),) != width}
+                if not bad:
+                    raise
+                for r, got in bad.items():  # one per run, values first
+                    ragged.setdefault(r, Violation(
+                        r, f"{name}_length",
+                        f"expected {width[0]} {units[name]}, got {got}"))
         # a column of another run count or width is refused, never reshaped
         wrong = [Violation(None, "column_shape", f"{name} has shape "
                            f"{a.shape}, expected {shapes[name]}")
                  for name, a in columns.items() if a.shape[:1] != (n,)
                  or a.size != math.prod(shapes[name])]
-        if wrong:
-            raise InvalidDesign(wrong)
+        if wrong or ragged:
+            raise InvalidDesign(wrong + [ragged[r] for r in sorted(ragged)])
         columns = {name: a.reshape(shapes[name])
                    for name, a in columns.items()}
         with np.errstate(invalid="ignore"):
@@ -203,7 +218,9 @@ class BlockedDesign:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which model family and which optional column groups to build."""
+    """Which model family and which optional column groups to build. An
+    interaction index is an int or numpy integer (kept as int); a bool,
+    float or string one is a SpecError naming the term, never converted."""
 
     family: str
     include_pwo: bool = False
@@ -217,11 +234,12 @@ class ModelSpec:
             raise SpecError("interaction terms require include_pwo=True")
         terms = []
         for term in self.interaction_terms:
-            try:  # numpy integers become int: the term table is cached by spec
-                i, k, l = map(operator.index, (term[0], *term[1]))
-            except TypeError:
+            indices = (term[0], *term[1])
+            if not all(map(_is_integer, indices)):
                 raise SpecError(f"interaction term {term} has an index that "
-                                "is not an integer") from None
+                                "is not an integer")
+            # numpy integers become int: the term table is cached by spec
+            i, k, l = map(int, indices)
             if not (1 <= k < l):
                 raise SpecError(f"interaction pair ({k},{l}) must have k < l")
             if i not in (k, l):
@@ -359,15 +377,20 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
                      has_amount=None) -> list[Violation]:
     """validate_design on bare columns, in one pass over the arrays.
 
-    pwo and block may be any numeric type: a fraction, NaN or inf is out of
-    range in either, and is printed as given. has_amount, a bool, says
-    whether the runs were given amounts (a design file's `A` column gives
-    every run one), so that a given NaN is non-finite, not absent; by
-    default a run has one when it is not NaN. A run's support
+    An m that is not an integer has no pairs to judge by, so it is the one
+    violation (component_count). pwo and block may be any numeric type: a
+    fraction, NaN or inf is out of range in either, and is printed as
+    given. has_amount, a bool, says whether the runs were given amounts (a
+    design file's `A` column gives every run one), so that a given NaN is
+    non-finite, not absent; by default a run has one when it is not NaN.
+    A run's support
     pairs are those whose components are both positive (a zero, negative
     or NaN component is absent, as in oamix.pwo); they must be all 0
     (unordered) or all +/-1 with precedence out-degrees {s-1, ..., 0}.
     """
+    if not _is_integer(m):  # no pairs, so no column can be judged
+        return [Violation(None, "component_count",
+                          f"m must be an integer >= 2, got {m!r}")]
     V = np.asarray(values, dtype=float)
     Z, B = np.asarray(pwo), np.asarray(block)
     A = np.asarray(amount, dtype=float)

@@ -24,7 +24,8 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
-from .core import FAMILIES, BlockedDesign, ModelMatrix, ModelSpec
+from .core import (FAMILIES, BlockedDesign, ModelMatrix, ModelSpec,
+                   _is_integer)
 from .errors import InsufficientDF, NothingToCheck, SchemaError, Unsupported
 from .linalg import _point_variances, det_xtx, log_det_xtx
 from .modelmat import _columns, _terms, build_model_matrix, model_rows
@@ -416,10 +417,6 @@ class FDSCurve:
 
     def maximum(self) -> float:
         return self.variances[-1]
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _fds_draws(n: int, m: int, n_levels: Optional[int], seed: int):

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _incidence, pair_indices, validate_columns
+from .core import _incidence, _is_integer, pair_indices, validate_columns
 from .errors import (EmptySupport, InconsistentPWO, InvalidPermutation,
                      SupportMismatch)
 
@@ -89,9 +89,14 @@ def _expand(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pwo_from_permutation(perm: Sequence[int], m: int) -> tuple[int, ...]:
-    """PWO vector of a full addition order on all m components; no zeros."""
+    """PWO vector of a full addition order on all m components; no zeros.
+    m and perm hold integers: a bool, float or string is an
+    InvalidPermutation, never converted."""
     order = tuple(perm)
-    if sorted(order) != list(range(1, m + 1)):
+    if not _is_integer(m):
+        raise InvalidPermutation(f"m must be an integer, got {m!r}")
+    if (not all(map(_is_integer, order))
+            or sorted(order) != list(range(1, m + 1))):
         raise InvalidPermutation(
             f"expected a permutation of 1..{m}, got {order}")
     step = np.argsort(order)[None]
@@ -107,13 +112,20 @@ def permutation_from_pwo(pwo: Sequence[int], support: Iterable[int],
     member outside 1..m and a support with no ordered pair (a valid run, no
     order) SupportMismatch, with the validator's message. The support is
     ranked by precedence out-degree. m defaults to the count len(pwo) implies.
+    An m or support member that is not an integer (a bool, 1.5 or "1") is
+    a SupportMismatch naming it as given, never converted.
     """
     z = np.array(pwo).reshape(-1)
     if m is None:
         m = round((1 + (1 + 8 * len(z)) ** 0.5) / 2)
+    elif not _is_integer(m):
+        raise SupportMismatch(f"m must be an integer, got {m!r}")
     if len(z) != len(pair_indices(m)):
         raise SupportMismatch(f"pwo length {len(z)} does not match m={m}")
-    members = sorted({int(i) for i in support})
+    given = list(support)
+    if not all(map(_is_integer, given)):
+        raise SupportMismatch(f"support {given} is not within 1..{m}")
+    members = sorted({int(i) for i in given})  # numpy integers become int
     if members and not 1 <= members[0] <= members[-1] <= m:
         raise SupportMismatch(f"support {members} is not within 1..{m}")
     on = np.isin(np.arange(1, m + 1), members)[None]  # the run's values

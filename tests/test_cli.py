@@ -586,6 +586,46 @@ def test_block_column_with_three_blocks_is_rejected(tmp_path, capsys):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+MUTANT_CELLS = ("0", "5e-324", "1e-300", "1e-160", "1e160", "1.7e308",
+                "0.333", "0.5", "2", "-1", "nan", "inf", "a", "")
+
+
+@pytest.mark.parametrize("name, model, extra", [
+    ("czitrom-d", ("scheffe-q", "--no-pwo"), ()),
+    ("czitrom-d-oofa", ("scheffe-q",), ()),
+    ("ca-projection", ("ca-q",), ("--a-max", "100"))])
+def test_mutated_design_files_exit_with_a_documented_code(tmp_path, capsys,
+                                                          name, model, extra):
+    # exit 1 would be a traceback: every subcommand answers a design file
+    # with 1-4 cells replaced by 0, 2, 3 or 4, and warns nothing
+    clean = catalog_file(tmp_path, name, *extra).read_text().splitlines()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    response = tmp_path / "y.csv"
+    response.write_text("y\n" + "".join(
+        f"{v!r}\n" for v in rng.standard_normal(len(clean) - 1).tolist()))
+    path, out = str(tmp_path / "mutant.csv"), str(tmp_path / "out")
+    model_opts = ("-i", path, "--model", *model)
+    commands = [("eval", *model_opts), ("eval", *model_opts,
+                                        "--interactions", "full"),
+                ("power", *model_opts), ("power", *model_opts,
+                                         "--alpha", "1e-9"),
+                ("check-blocks", *model_opts),
+                ("fit", *model_opts, "--response", str(response), "-o", out),
+                ("fds", *model_opts, "--samples", "50", "-o", out),
+                ("expand", "-i", path, "-o", out)]
+    codes = set()
+    for _ in range(30):
+        lines = [line.split(",") for line in clean]
+        for _ in range(rng.integers(1, 5)):
+            row = lines[rng.integers(1, len(lines))]
+            row[rng.integers(1, len(row))] = str(rng.choice(MUTANT_CELLS))
+        Path(path).write_text("\n".join(map(",".join, lines)) + "\n")
+        for command in commands:
+            codes.add(run_cli(*command))
+    capsys.readouterr()
+    assert codes <= {0, 2, 3, 4}
+
+
 def readme_commands() -> list[list[str]]:
     """Argument lists of every `oamix ...` line in the README's sh blocks."""
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oamix.core import (BlockedDesign, ModelMatrix, ModelSpec, Run,
                         Violation, pair_indices, validate_columns,
@@ -152,7 +153,8 @@ def _run_level_answers(values, pwo, block, n_blocks):
 
 @pytest.mark.parametrize("z, shown", [(0.5, "0.5"), (math.nan, "nan"),
                                       (math.inf, "inf"), (-math.inf, "-inf"),
-                                      (2, "2"), (300, "300"), (2.0, "2")])
+                                      (2, "2"), (300, "300"), (2.0, "2"),
+                                      (2**70, str(2**70))])
 def test_one_answer_per_pwo_entry(z, shown):
     # every path names the entry as given; none truncates 0.5 to 0
     pwo = (z, 1, 1)
@@ -166,7 +168,8 @@ def test_one_answer_per_pwo_entry(z, shown):
 
 @pytest.mark.parametrize("block, shown", [(2.7, "2.7"), (math.nan, "nan"),
                                           (math.inf, "inf"), (0, "0"),
-                                          (3, "3"), (-1.0, "-1")])
+                                          (3, "3"), (-1.0, "-1"),
+                                          (2**70, str(2**70))])
 def test_one_answer_per_block_label(block, shown):
     for report in _run_level_answers((0.2, 0.3, 0.5), (1, 1, 1), block, 2):
         assert report == [Violation(0, "block_label_range",
@@ -178,6 +181,95 @@ def test_integral_float_entries_are_stored_as_integers():
                                             2.0)], 2)
     assert d.pwo.tolist() == [[1, -1, 1]] and d.pwo.dtype == np.int8
     assert d.block.tolist() == [2] and d.block.dtype == np.int64
+
+
+def test_from_arrays_names_rows_of_the_wrong_width_by_run():
+    values = [(0.2, 0.3, 0.5), (0.5, 0.5), (0.2, 0.3, 0.5)]
+    pwo = [(1, 1, 1), (1, 0, 0), (1, 1)]
+    with pytest.raises(InvalidDesign) as exc:
+        BlockedDesign.from_arrays(3, "proportion", values, pwo, [1, 1, 1],
+                                  None, 1)
+    assert exc.value.violations == [
+        Violation(1, "values_length", "expected 3 values, got 2"),
+        Violation(2, "pwo_length", "expected 3 pwo entries, got 2")]
+
+
+def test_every_run_of_the_wrong_width_is_a_column_shape():
+    # no run holds the design's width, so the column is of another shape,
+    # on the Run path as from columns
+    runs = [Run((0.5, 0.5), (1, 0, 0), 1)] * 2
+    with pytest.raises(InvalidDesign) as exc:
+        _design(runs)
+    assert exc.value.violations == [Violation(
+        None, "column_shape", "values has shape (2, 2), expected (2, 3)")]
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, "3", True, None])
+def test_m_that_is_not_an_integer_is_a_component_count(m):
+    want = [Violation(None, "component_count",
+                      f"m must be an integer >= 2, got {m!r}")]
+    for build in (lambda: BlockedDesign(m, "proportion", [], 1),
+                  lambda: BlockedDesign.from_arrays(m, "proportion", [], [],
+                                                    [], None, 1)):
+        with pytest.raises(InvalidDesign) as exc:
+            build()
+        assert exc.value.violations == want
+    assert validate_columns(m, "proportion", 1, False, [], [], [], []) == want
+
+
+def test_m_of_1_is_stored_and_reported():
+    d = BlockedDesign(1, "proportion", [Run((1.0,), (), 1)], 1)
+    assert d.m == 1 and d.pwo.shape == (1, 0)
+    assert validate_design(d) == [
+        Violation(None, "component_count", "m must be >= 2, got 1")]
+
+
+PWO_ENTRIES = (-1, 0, 1, 2, 0.5, math.nan, 2**70)
+LABELS = (1, 2, 0, 2.5, 2**70)
+
+
+@st.composite
+def ragged_runs(draw):
+    """m and rows (values, pwo, block): rows of width m - 1, m or m + 1
+    (pwo entries: one fewer, the right count or one more), no amounts."""
+    m = draw(st.integers(2, 4))
+    npairs = len(pair_indices(m))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        width, pwidth = (draw(st.sampled_from((w - 1, w, w, w + 1)))
+                         for w in (m, npairs))
+        values = draw(st.lists(st.sampled_from((0.0, 0.2, 0.5, 1.0)),
+                               min_size=width, max_size=width))
+        pwo = draw(st.lists(st.sampled_from(PWO_ENTRIES), min_size=pwidth,
+                            max_size=pwidth))
+        rows.append((tuple(values), tuple(pwo), draw(st.sampled_from(LABELS))))
+    return m, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(ragged_runs())
+def test_both_constructors_give_one_answer(case):
+    m, rows = case
+
+    def built(make):  # anything but InvalidDesign fails the test
+        try:
+            return make()
+        except InvalidDesign as e:
+            return e.violations
+
+    by_runs = built(lambda: BlockedDesign(m, "proportion",
+                                          [Run(*r) for r in rows], 2))
+    columns = [list(c) for c in zip(*rows)] or [[], [], []]
+    by_columns = built(lambda: BlockedDesign.from_arrays(
+        m, "proportion", *columns, None, 2))
+    if isinstance(by_runs, list):
+        assert by_columns == by_runs
+        return
+    assert not isinstance(by_columns, list)
+    for name in ("values", "pwo", "block", "amount"):
+        a, b = getattr(by_runs, name), getattr(by_columns, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
 
 
 def test_validate_negative_and_range_rules():
@@ -207,6 +299,15 @@ def test_modelspec_interaction_component_in_pair():
     with pytest.raises(SpecError):
         ModelSpec("scheffe_quadratic", include_pwo=True,
                   interaction_terms=((2, (2, 1)),))
+
+
+def test_modelspec_refuses_a_bool_interaction_index():
+    # True is no index 1, as a bool is no fds_curve seed
+    for term in ((True, (1, 2)), (2, (True, 2))):
+        with pytest.raises(SpecError,
+                           match=re.escape(f"interaction term {term}")):
+            ModelSpec("scheffe_quadratic", include_pwo=True,
+                      interaction_terms=(term,))
 
 
 @pytest.mark.parametrize("term", [(1.5, (1, 2)), (1, (1.0, 2)),

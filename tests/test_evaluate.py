@@ -233,6 +233,24 @@ def test_block_column_rejects_more_than_two_blocks():
     assert all(len(c.block_sums) == 3 for c in report.conditions)
 
 
+@pytest.mark.parametrize("delta", [1e-12, 0.002])
+def test_blocking_tolerance_facts_of_the_readme(delta):
+    # run 1 of czitrom-d-oofa moved: x1 up and x2 down by delta. The
+    # interaction x1*z12 is held to 0 and fails at any move; x2's component
+    # sum moves by delta and is inside the 5e-3 tolerance at both
+    d = czitrom_d_oofa()
+    V = d.values.copy()
+    V[0, :2] += (delta, -delta)
+    moved = BlockedDesign.from_arrays(3, d.kind, V, d.pwo, d.block, None,
+                                      d.n_blocks, as_printed=True)
+    report = check_orthogonal_blocking(moved, scheffe_spec(block=False))
+    assert [(c.term, c.condition) for c in report.conditions if not c.ok] \
+        == [("x1*z12", "interaction_sum")]
+    x2 = next(c for c in report.conditions if c.term == "x2")
+    assert x2.condition == "component_sum" and x2.tol == 5e-3
+    assert x2.discrepancy == pytest.approx(delta, rel=1e-3)
+
+
 def test_blocking_single_block_raises():
     d = BlockedDesign(m=3, kind="proportion",
                       runs=(Run((0.5, 0.5, 0), (1, 0, 0), 1),), n_blocks=1)
@@ -244,6 +262,27 @@ def test_blocking_single_block_raises():
 def test_blocking_refuses_a_negative_or_nan_tol(tol):
     with pytest.raises(Unsupported, match=re.escape(f"got {tol}")):
         check_orthogonal_blocking(czitrom_d_oofa(), scheffe_spec(), tol=tol)
+
+
+@pytest.mark.parametrize("design, family, largest", [
+    (czitrom_d_oofa, "scheffe_quadratic", (0.7007, 0.7016, 0.7016)),
+    (aggarwal_a_oofa, "k_quadratic", (0.5985, 0.5997, 0.5997))])
+def test_largest_alias_of_each_omitted_interaction(design, family, largest):
+    # the default model fits 3 of the 6 interactions; each omitted one,
+    # regressed on the fitted columns, carries this much into one of them
+    def matrix(terms):
+        return build_model_matrix(design(), ModelSpec(
+            family, include_pwo=True, interaction_terms=terms,
+            include_block=True))
+
+    X1, X = matrix(default_interaction_subset(3)), matrix(
+        full_interaction_set(3))
+    assert (X1.p, X.p, np.linalg.matrix_rank(X.data)) == (13, 16, 16)
+    omitted = [c for c in X.columns if c not in X1.columns]
+    assert omitted == ["x2*z12", "x3*z13", "x3*z23"]
+    alias = np.linalg.lstsq(X1.data, np.column_stack(
+        [X.column(c) for c in omitted]), rcond=None)[0]
+    assert np.abs(alias).max(axis=0) == pytest.approx(largest, abs=1e-3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,23 @@ def test_pwo_from_permutation_rejects_bad_input():
         pwo_from_permutation((1, 2), 3)
     with pytest.raises(InvalidPermutation):
         pwo_from_permutation((1, 1, 2), 3)
+
+
+@pytest.mark.parametrize("perm, m, message", [
+    ((True, 2), 2, "expected a permutation of 1..2, got (True, 2)"),
+    ((1.0, 2.0, 3.0), 3,
+     "expected a permutation of 1..3, got (1.0, 2.0, 3.0)"),
+    (("1", 2, 3), 3, "expected a permutation of 1..3, got ('1', 2, 3)"),
+    ((1, 2, 3), 3.0, "m must be an integer, got 3.0"),
+    ((1, 2), True, "m must be an integer, got True")])
+def test_pwo_from_permutation_takes_integers_only(perm, m, message):
+    with pytest.raises(InvalidPermutation, match=f"^{re.escape(message)}$"):
+        pwo_from_permutation(perm, m)
+
+
+def test_pwo_from_permutation_takes_numpy_integers():
+    assert pwo_from_permutation(np.array([2, 1, 3]), np.int64(3)) == \
+        (-1, 1, 1)
 
 
 # worked examples of the pwo_from_run oracle, which the tests below encode
@@ -91,6 +109,32 @@ def test_permutation_from_pwo_refuses_support_outside_components():
         permutation_from_pwo((1, 1, 1), {1, 2, 3, 4})
     with pytest.raises(SupportMismatch, match=r"not within 1\.\.3"):
         permutation_from_pwo((1, 0, 0), {0, 1, 2})
+
+
+@pytest.mark.parametrize("support", [[1.5, 2], ["1", 2], [0.5, 2],
+                                     [True, 2], [1, 2, 3.0]])
+def test_permutation_from_pwo_refuses_a_member_that_is_not_an_integer(
+        support):
+    # named as given: 1.5 is no component 1, and "1" no component at all
+    with pytest.raises(SupportMismatch,
+                       match=f"^{re.escape(f'support {support} is not')}"
+                             r" within 1\.\.3$"):
+        permutation_from_pwo((1, 0, 0), support)
+
+
+def test_permutation_from_pwo_takes_numpy_integers():
+    assert permutation_from_pwo((-1, 1, 1), np.array([1, 2, 3]),
+                                np.int64(3)) == (2, 1, 3)
+    with pytest.raises(SupportMismatch,
+                       match=r"^support \[0, 2\] is not within 1\.\.3$"):
+        permutation_from_pwo((0, 0, 0), (np.int64(2), np.int64(0)))
+
+
+@pytest.mark.parametrize("m", [3.0, 2.5, True])
+def test_permutation_from_pwo_refuses_an_m_that_is_not_an_integer(m):
+    with pytest.raises(SupportMismatch,
+                       match=f"^m must be an integer, got {m!r}$"):
+        permutation_from_pwo((1, 1, 1), {1, 2, 3}, m=m)
 
 
 def test_enumerate_orderings_centroid_sequence():
