@@ -9,11 +9,9 @@ validation error (including a failing blocking check), 4 numerical error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
-from . import catalog as cat
 from .core import (COMPONENT_AMOUNT_LINEAR, COMPONENT_AMOUNT_QUADRATIC,
                    K_QUADRATIC, MIXTURE_AMOUNT_LINEAR,
                    MIXTURE_AMOUNT_QUADRATIC, SCHEFFE_QUADRATIC, ModelSpec)
@@ -21,7 +19,11 @@ from .errors import InsufficientDF, OamixError, SchemaError, SingularMatrix
 
 # Each command imports the modules it needs inside its handler, so that a
 # fresh process compiles and runs only those: catalog and expand never load
-# modelmat, evaluate or fit.
+# modelmat, linalg, evaluate or fit, and no other command loads catalog.
+
+# the names of catalog.CATALOG, for the catalog command's choices
+CATALOG_NAMES = ("aggarwal-a", "aggarwal-a-oofa", "ca-projection",
+                 "czitrom-d", "czitrom-d-oofa")
 
 MODEL_FAMILIES = {
     "scheffe-q": SCHEFFE_QUADRATIC,
@@ -88,11 +90,14 @@ def _design_and_spec(args):
 
 
 def _finite_or_null(obj):
-    """obj with every non-finite float as None: strict JSON (RFC 8259) has
-    no NaN or Infinity, so a power with no residual degrees of freedom or
-    a det_xtx past the float range is written as null."""
+    """obj as JSON data, with every non-finite float as None: strict JSON
+    (RFC 8259) has no NaN or Infinity, so a power with no residual degrees
+    of freedom or a det_xtx past the float range is written as null. A
+    report (a NamedTuple) becomes a dict of its fields in their order."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {key: _finite_or_null(v) for key, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -114,6 +119,7 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog as cat
     from .serialize import write_design_csv
     if args.name == "ca-projection":
         design = cat.CATALOG[args.name](
@@ -129,9 +135,10 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .catalog import oofa_expand
     from .serialize import parse_design_csv, write_design_csv
     design = parse_design_csv(_read(args.input))
-    expanded = cat.oofa_expand(design)
+    expanded = oofa_expand(design)
     _write(args.output, write_design_csv(expanded))
     print(f"expanded {design.n} runs to {expanded.n}; wrote {args.output}")
     return 0
@@ -142,7 +149,7 @@ def _cmd_check_blocks(args) -> int:
     design, spec = _design_and_spec(args)
     report = check_orthogonal_blocking(design, spec, tol=args.tol)
     if args.json:
-        _print_json(dataclasses.asdict(report))
+        _print_json(report)
     else:
         print(f"{'condition':<20} {'term':<12} {'discrepancy':>12} "
               f"{'tol':>8}  result")
@@ -169,7 +176,7 @@ def _cmd_eval(args) -> int:
         eval_points = build_model_matrix(other, spec).data
     report = criteria_report(X, eval_points)
     if args.json:
-        _print_json(dataclasses.asdict(report))
+        _print_json(report)
         return 0
     print(f"n={report.n}  p={report.p}")
     print(f"det_xtx      {report.det_xtx:.6g}")
@@ -274,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(e.g. 1:12,1:13,2:23)")
 
     p = sub.add_parser("catalog", help="write a built-in design to CSV")
-    p.add_argument("name", choices=sorted(cat.CATALOG))
+    p.add_argument("name", choices=CATALOG_NAMES)
     p.add_argument("--a-max", type=float,
                    help="total-amount scale for ca-projection (default 1)")
     p.add_argument("-o", "--output", required=True)

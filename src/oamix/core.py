@@ -13,13 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+import operator
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from . import linalg
 from .errors import InvalidDesign, SpecError
+
+if TYPE_CHECKING:  # annotations only: linalg loads where a matrix factors
+    from . import linalg
 
 PROPORTION_SUM_TOL = 1e-9
 AMOUNT_SUM_TOL = 1e-9
@@ -73,8 +75,43 @@ def pair_indices(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, k) for j in range(1, m) for k in range(j + 1, m + 1))
 
 
-@dataclass(frozen=True)
-class Run:
+class _Record:
+    """Base of oamix's read-only classes: a constructor fills the instance
+    __dict__ once, in one update, and assigning or deleting an attribute
+    raises AttributeError (functools.cached_property writes the __dict__
+    itself). _fields names the attributes that repr shows and that
+    equality and the hash compare; a class that equals only itself resets
+    __eq__ and __hash__ to object's."""
+
+    __slots__ = ()  # a subclass has a __dict__ unless it names its slots
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # _fields as one tuple, read in C: a plain callable, not a method
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
+class Run(_Record):
     """One experimental run.
 
     values: component proportions or amounts, length m.
@@ -82,20 +119,54 @@ class Run:
     block: 1-based block label. Neither pwo nor block is truncated.
     amount: total amount A for amount designs; None for proportion designs
     unless the design carries amount levels (mixture-amount use).
+    values and pwo are kept as tuples of the entries given, unconverted:
+    BlockedDesign judges them.
     """
 
-    values: tuple[float, ...]
-    pwo: tuple[int, ...]
-    block: int = 1
-    amount: Optional[float] = None
+    # slots, not a __dict__: a design's runs are held by the thousand
+    __slots__ = _fields = ("values", "pwo", "block", "amount")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        object.__setattr__(self, "pwo", tuple(self.pwo))
+    def __init__(self, values, pwo, block=1, amount=None):
+        init = object.__setattr__  # past the read-only __setattr__
+        init(self, "values", tuple(values))
+        init(self, "pwo", tuple(pwo))
+        init(self, "block", block)
+        init(self, "amount", amount)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class BlockedDesign:
+def _text_entries(given):
+    """(run, entry index, entry) of each str or bytes in a column given as
+    a sequence of entries or of rows of entries."""
+    for r, row in enumerate(given):
+        entries = row if isinstance(row, (list, tuple, np.ndarray)) else (row,)
+        for c, x in enumerate(entries):
+            if isinstance(x, str):
+                yield r, c, str(x)  # a numpy string as the plain one
+            elif isinstance(x, bytes):
+                yield r, c, bytes(x)
+
+
+def _rounded(x) -> float:
+    """x as numpy reads it into a float column (None is NaN), and an int
+    past the float range as the infinity it rounds to, as float('1e400')
+    is, where numpy raises OverflowError."""
+    try:
+        return float(np.asarray(x, dtype=float))
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _as_floats(given) -> np.ndarray:
+    """given as a float array; an int past the float range reads as +/-inf
+    (which no rule admits), never as OverflowError."""
+    try:
+        return np.asarray(given, dtype=float)
+    except OverflowError:
+        objects = np.array(given, dtype=object)
+        return np.frompyfunc(_rounded, 1, 1)(objects).astype(float)
+
+
+class BlockedDesign(_Record):
     """An ordered sequence of runs partitioned into numbered blocks.
 
     The runs are held as read-only columns: values (n x m float), pwo
@@ -103,30 +174,29 @@ class BlockedDesign:
     no total amount). BlockedDesign(m, kind, runs, n_blocks) takes Run
     objects, from_arrays the columns; both store by one path that reads
     every column as floats and refuses with InvalidDesign what the columns
-    cannot hold: an m that is not an integer (component_count), a row of
+    cannot hold: an m that is not an integer (component_count), a str or
+    bytes entry in any column (non_numeric_entry naming its run), a row of
     the wrong width (values_length or pwo_length naming its run, or
     column_shape when no row has the design's width), a pwo entry or block
     label its integer column would change (validate_columns' rule and
-    message), and on a Run a NaN amount (NaN is "no amount"). runs is a
-    view of the columns as Run objects.
+    message), and on a Run a NaN amount (NaN is "no amount"). A numeric
+    array pays only a dtype test for the text rule; an int past the float
+    range reads as +/-inf. runs is a view of the columns as Run objects. A
+    design equals only itself and hashes by identity.
     """
 
-    m: int
-    kind: str  # "proportion" | "amount"
-    values: np.ndarray
-    pwo: np.ndarray
-    block: np.ndarray
-    amount: np.ndarray
-    n_blocks: int
-    as_printed: bool = False
+    _fields = ("m", "kind", "values", "pwo", "block", "amount", "n_blocks",
+               "as_printed")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, m: int, kind: str, runs, n_blocks: int,
                  as_printed: bool = False):
         runs = tuple(runs)
-        # NaN is the amount column's "no amount", so a run cannot give it
+        # NaN is the amount column's "no amount", so a run cannot give it;
+        # NaN is the one value unequal to itself
         bad = [Violation(idx, "non_finite_value", f"amount is {r.amount}")
                for idx, r in enumerate(runs)
-               if r.amount is not None and math.isnan(r.amount)]
+               if r.amount is not None and r.amount != r.amount]
         if bad:
             raise InvalidDesign(bad)
         self._store(m, kind, n_blocks, as_printed,
@@ -154,13 +224,19 @@ class BlockedDesign:
         shapes = {"values": (n, m), "pwo": (n, len(pair_indices(m))),
                   "block": (n,), "amount": (n,)}
         units = {"values": "values", "pwo": "pwo entries"}
+        entry = {"values": "component", "pwo": "pwo entry"}
         # every column is read as floats, so that any entry reaches the
         # rules; pwo and block need no copy here: their int casts make one
-        columns, ragged = {}, {}
+        # objects: columns of Python objects, which the validator shows as
+        # given (an int past the float range as the int, not inf)
+        columns, objects, by_run = {}, {}, {}
         for name, given in zip(shapes, (values, pwo, block, amount)):
-            read = np.asarray if name in ("pwo", "block") else np.array
-            try:
+            if isinstance(given, np.ndarray) and given.dtype.kind in "biuf":
+                read = np.asarray if name in ("pwo", "block") else np.array
                 columns[name] = read(given, dtype=float)
+                continue
+            try:
+                a = np.array(given)  # no dtype: text stays text
             except ValueError:  # rows of several widths: name the wrong ones
                 width = shapes[name][1:]
                 bad = {r: len(row) for r, row in enumerate(given)
@@ -168,16 +244,28 @@ class BlockedDesign:
                 if not bad:
                     raise
                 for r, got in bad.items():  # one per run, values first
-                    ragged.setdefault(r, Violation(
+                    by_run.setdefault(r, Violation(
                         r, f"{name}_length",
                         f"expected {width[0]} {units[name]}, got {got}"))
+                continue
+            if a.dtype.kind in "OSU":  # text, None or ints past int64
+                text = list(_text_entries(given if a.ndim else (given,)))
+                for r, c, x in text:  # one per run, values first
+                    what = f"{entry[name]} {c + 1}" if name in entry else name
+                    by_run.setdefault(r, Violation(
+                        r, "non_numeric_entry",
+                        f"{what} is {x!r}, text rather than a number"))
+                if text:
+                    continue
+                objects[name] = a
+            columns[name] = _as_floats(a)
         # a column of another run count or width is refused, never reshaped
         wrong = [Violation(None, "column_shape", f"{name} has shape "
                            f"{a.shape}, expected {shapes[name]}")
                  for name, a in columns.items() if a.shape[:1] != (n,)
                  or a.size != math.prod(shapes[name])]
-        if wrong or ragged:
-            raise InvalidDesign(wrong + [ragged[r] for r in sorted(ragged)])
+        if wrong or by_run:
+            raise InvalidDesign(wrong + [by_run[r] for r in sorted(by_run)])
         columns = {name: a.reshape(shapes[name])
                    for name, a in columns.items()}
         with np.errstate(invalid="ignore"):
@@ -185,17 +273,17 @@ class BlockedDesign:
                     "block": columns["block"].astype(np.int64)}
         # an entry its cast changes is out of range: the validator names it
         if any((a != columns[name]).any() for name, a in cast.items()):
+            shown = {name: a.reshape(shapes[name])
+                     for name, a in objects.items()}
             raise InvalidDesign([
                 v for v in validate_columns(m, kind, n_blocks, as_printed,
-                                            **columns)
+                                            **dict(columns, **shown))
                 if v.rule in ("pwo_entry_range", "block_label_range")])
         columns.update(cast)
         for a in columns.values():
             a.flags.writeable = False
-        fields = dict(columns, m=m, kind=kind, n_blocks=n_blocks,
-                      as_printed=as_printed)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(columns, m=m, kind=kind, n_blocks=n_blocks,
+                             as_printed=as_printed)
 
     @property
     def n(self) -> int:
@@ -216,24 +304,23 @@ class BlockedDesign:
         return tuple(sorted({float(f"{a:.12g}") for a in given}))
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Record):
     """Which model family and which optional column groups to build. An
     interaction index is an int or numpy integer (kept as int); a bool,
-    float or string one is a SpecError naming the term, never converted."""
+    float or string one is a SpecError naming the term, never converted.
+    Specs are equal, and hash alike, when their fields are."""
 
-    family: str
-    include_pwo: bool = False
-    interaction_terms: tuple[tuple[int, tuple[int, int]], ...] = ()
-    include_block: bool = False
+    _fields = ("family", "include_pwo", "interaction_terms", "include_block")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise SpecError(f"unknown model family: {self.family!r}")
-        if self.interaction_terms and not self.include_pwo:
+    def __init__(self, family: str, include_pwo: bool = False,
+                 interaction_terms: tuple[tuple[int, tuple[int, int]], ...] = (),
+                 include_block: bool = False):
+        if family not in FAMILIES:
+            raise SpecError(f"unknown model family: {family!r}")
+        if interaction_terms and not include_pwo:
             raise SpecError("interaction terms require include_pwo=True")
         terms = []
-        for term in self.interaction_terms:
+        for term in interaction_terms:
             indices = (term[0], *term[1])
             if not all(map(_is_integer, indices)):
                 raise SpecError(f"interaction term {term} has an index that "
@@ -246,7 +333,9 @@ class ModelSpec:
                 raise SpecError(
                     f"interaction component {i} must belong to its pair ({k},{l})")
             terms.append((i, (k, l)))
-        object.__setattr__(self, "interaction_terms", tuple(terms))
+        self.__dict__.update(family=family, include_pwo=include_pwo,
+                             interaction_terms=tuple(terms),
+                             include_block=include_block)
 
     @property
     def include_intercept(self) -> bool:
@@ -255,8 +344,7 @@ class ModelSpec:
         return FAMILIES[self.family].intercept
 
 
-@dataclass(frozen=True, eq=False)
-class ModelMatrix:
+class ModelMatrix(_Record):
     """A dense model matrix with named columns.
 
     basis records how component entries were formed: "raw" uses the run
@@ -272,22 +360,21 @@ class ModelMatrix:
     BlockedDesign does.
     """
 
-    columns: tuple[str, ...]
-    data: np.ndarray
-    basis: str = "raw"
+    _fields = ("columns", "data", "basis")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[1] != len(self.columns):
+    def __init__(self, columns, data, basis: str = "raw"):
+        columns = tuple(columns)
+        data = np.asarray(data, dtype=float)
+        if data.ndim != 2 or data.shape[1] != len(columns):
             raise SpecError("model matrix shape does not match column names")
-        if not self.columns:
+        if not columns:
             raise SpecError("model matrix has no columns")
-        if len(set(self.columns)) != len(self.columns):
+        if len(set(columns)) != len(columns):
             raise SpecError("duplicate column names in model matrix")
         data = data.copy()
         data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        self.__dict__.update(columns=columns, data=data, basis=basis)
 
     @property
     def n(self) -> int:
@@ -305,14 +392,16 @@ class ModelMatrix:
         """linalg.factor of data, kept once made. A singular matrix keeps
         nothing: every access factors it again and raises SingularMatrix
         naming its dependent columns."""
+        from . import linalg  # only commands that factor load it
         return linalg.factor(self.data, self.columns)
 
     @functools.cached_property
     def _own_variances(self) -> np.ndarray:
         """v'(X'X)^-1 v for each row v of data, read-only; made once for
         criteria_report and for predict at the fitted matrix itself."""
+        from .linalg import _point_variances
         f = self.factor
-        pv = linalg._point_variances(f, f.Xs)
+        pv = _point_variances(f, f.Xs)
         pv.flags.writeable = False
         return pv
 
@@ -380,20 +469,20 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
     An m that is not an integer has no pairs to judge by, so it is the one
     violation (component_count). pwo and block may be any numeric type: a
     fraction, NaN or inf is out of range in either, and is printed as
-    given. has_amount, a bool, says whether the runs were given amounts (a
-    design file's `A` column gives every run one), so that a given NaN is
-    non-finite, not absent; by default a run has one when it is not NaN.
-    A run's support
-    pairs are those whose components are both positive (a zero, negative
-    or NaN component is absent, as in oamix.pwo); they must be all 0
-    (unordered) or all +/-1 with precedence out-degrees {s-1, ..., 0}.
+    given; an int past the float range, there or in values or amount,
+    reads as +/-inf. has_amount, a bool, says whether the runs were given
+    amounts (a design file's `A` column gives every run one), so that a
+    given NaN is non-finite, not absent; by default a run has one when it
+    is not NaN. A run's support pairs are those whose components are both
+    positive (a zero, negative or NaN component is absent, as in
+    oamix.pwo); they must be all 0 (unordered) or all +/-1 with precedence
+    out-degrees {s-1, ..., 0}.
     """
     if not _is_integer(m):  # no pairs, so no column can be judged
         return [Violation(None, "component_count",
                           f"m must be an integer >= 2, got {m!r}")]
-    V = np.asarray(values, dtype=float)
+    V, A = _as_floats(values), _as_floats(amount)
     Z, B = np.asarray(pwo), np.asarray(block)
-    A = np.asarray(amount, dtype=float)
     n = len(B)
     has = ~np.isnan(A) if has_amount is None else np.full(n, has_amount)
     head, found = [], []
@@ -406,6 +495,8 @@ def validate_columns(m: int, kind: str, n_blocks: int, as_printed: bool,
         head.append(Violation(None, "empty_design", "design has no runs"))
 
     def given(x):  # a pwo or block entry as given, a whole one as an int
+        if _is_integer(x):  # as given, even past the float range
+            return str(x)
         return str(int(x)) if float(x).is_integer() else str(x)
 
     def add(rank, rule, mask, message):

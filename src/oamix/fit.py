@@ -3,26 +3,29 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModelMatrix
+from .core import ModelMatrix, _Record
 from .errors import InsufficientDF, SchemaError, Unsupported
 from .linalg import _inverse, _point_variances, lstsq
 
 
-@dataclass(frozen=True)
-class FitResult:
-    columns: tuple[str, ...]
-    estimates: tuple[float, ...]
-    se: tuple[float, ...]
-    sigma_hat: float
-    df_residual: int
-    r_squared: float
-    residuals: tuple[float, ...]
-    fitted: tuple[float, ...]
-    matrix: ModelMatrix = field(repr=False, compare=False)
+class FitResult(_Record):
+    """A least-squares fit. Fits are equal, and hash alike, when their
+    statistics are; the matrix they were fitted on is not compared."""
+
+    _fields = ("columns", "estimates", "se", "sigma_hat", "df_residual",
+               "r_squared", "residuals", "fitted")
+
+    def __init__(self, columns: tuple[str, ...], estimates: tuple[float, ...],
+                 se: tuple[float, ...], sigma_hat: float, df_residual: int,
+                 r_squared: float, residuals: tuple[float, ...],
+                 fitted: tuple[float, ...], matrix: ModelMatrix):
+        self.__dict__.update(
+            columns=columns, estimates=estimates, se=se, sigma_hat=sigma_hat,
+            df_residual=df_residual, r_squared=r_squared, residuals=residuals,
+            fitted=fitted, matrix=matrix)
 
     @functools.cached_property
     def info_inv(self) -> np.ndarray:

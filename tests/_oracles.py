@@ -25,14 +25,13 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import replace
 
 import numpy as np
 
 from oamix.core import (AMOUNT_SUM_TOL, AS_PRINTED_AMOUNT_TOL,
                         AS_PRINTED_SUM_TOL, FAMILIES, PROPORTION_SUM_TOL,
-                        BlockedDesign, Run, Violation, pair_indices,
-                        validate_columns)
+                        BlockedDesign, ModelSpec, Run, Violation,
+                        pair_indices, validate_columns)
 from oamix.errors import (EmptyDesign, EmptySupport, InvalidDesign,
                           InvalidPermutation, SchemaError, SingularMatrix,
                           SupportMismatch)
@@ -286,7 +285,8 @@ def run_violations(m: int, kind: str, runs, n_blocks: int,
 def fsum_block_sums(design: BlockedDesign, spec) -> list[tuple[float, ...]]:
     """Per non-block model column, math.fsum of its entries in each block,
     summed from per-block lists of the columns of build_model_matrix."""
-    X = build_model_matrix(design, replace(spec, include_block=False))
+    X = build_model_matrix(design, ModelSpec(
+        spec.family, spec.include_pwo, spec.interaction_terms))
     by_block = [X.data[design.block == b].T.tolist()
                 for b in range(1, design.n_blocks + 1)]
     return [tuple(math.fsum(cols[j]) for cols in by_block)

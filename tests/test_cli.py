@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oamix.catalog import (component_amount_projection_design, czitrom_d_oofa,
-                           oofa_expand)
-from oamix.cli import main
+from oamix.catalog import (CATALOG, component_amount_projection_design,
+                           czitrom_d_oofa, oofa_expand)
+from oamix.cli import CATALOG_NAMES, main
 from oamix.core import BlockedDesign, ModelSpec, Run
 from oamix.evaluate import FDS_SAMPLER, criteria_report
 from oamix.modelmat import build_model_matrix, default_interaction_subset
@@ -26,6 +26,11 @@ def catalog_file(tmp_path, name, *extra):
     out = tmp_path / f"{name}.csv"
     assert run_cli("catalog", name, "-o", str(out), *extra) == 0
     return out
+
+
+def test_catalog_choices_are_the_catalog():
+    # the CLI names them without importing catalog
+    assert CATALOG_NAMES == tuple(sorted(CATALOG))
 
 
 def test_catalog_round_trip(tmp_path):

@@ -154,7 +154,11 @@ def _run_level_answers(values, pwo, block, n_blocks):
 @pytest.mark.parametrize("z, shown", [(0.5, "0.5"), (math.nan, "nan"),
                                       (math.inf, "inf"), (-math.inf, "-inf"),
                                       (2, "2"), (300, "300"), (2.0, "2"),
-                                      (2**70, str(2**70))])
+                                      (2**70, str(2**70)),
+                                      pytest.param(10**400, str(10**400),
+                                                   id="10**400"),
+                                      pytest.param(-10**400, str(-10**400),
+                                                   id="-10**400")])
 def test_one_answer_per_pwo_entry(z, shown):
     # every path names the entry as given; none truncates 0.5 to 0
     pwo = (z, 1, 1)
@@ -169,11 +173,106 @@ def test_one_answer_per_pwo_entry(z, shown):
 @pytest.mark.parametrize("block, shown", [(2.7, "2.7"), (math.nan, "nan"),
                                           (math.inf, "inf"), (0, "0"),
                                           (3, "3"), (-1.0, "-1"),
-                                          (2**70, str(2**70))])
+                                          (2**70, str(2**70)),
+                                          pytest.param(10**400, str(10**400),
+                                                       id="10**400")])
 def test_one_answer_per_block_label(block, shown):
     for report in _run_level_answers((0.2, 0.3, 0.5), (1, 1, 1), block, 2):
         assert report == [Violation(0, "block_label_range",
                                     f"block {shown} outside 1..2")]
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400],
+                         ids=["10**400", "-10**400"])
+def test_an_int_past_the_float_range_reads_as_the_infinity_it_rounds_to(big):
+    # as the text 1e400 reads, never as a bare OverflowError
+    inf = math.inf if big > 0 else -math.inf
+    reports = _run_level_answers((0.2, big, 0.5), (0, 0, 0), 1, 1)
+    assert reports[0][0] == Violation(0, "non_finite_value",
+                                      f"component 2 is {inf}")
+    assert reports[1] == reports[2] == reports[0]
+    d = BlockedDesign(3, "proportion",
+                      [Run((0.2, 0.3, 0.5), (0, 0, 0), 1, amount=big)], 1)
+    assert d.amount.tolist() == [inf]
+    assert validate_design(d) == [
+        Violation(0, "non_finite_value", f"amount is {inf}")]
+
+
+TEXT_CASES = [  # (column, run 1 as given, the violation's message)
+    ("values", ((0.2, "0.3", 0.5), (1, 1, 1), 2, None),
+     "component 2 is '0.3', text rather than a number"),
+    ("pwo", ((0.2, 0.3, 0.5), ("1", 1, 1), "2", None),
+     "pwo entry 1 is '1', text rather than a number"),
+    ("pwo", ((0.2, 0.3, 0.5), (1, b"-1", 1), 2, None),
+     "pwo entry 2 is b'-1', text rather than a number"),
+    ("block", ((0.2, 0.3, 0.5), (1, 1, 1), "2", None),
+     "block is '2', text rather than a number"),
+    ("amount", ((0.2, 0.3, 0.5), (1, 1, 1), 2, "1"),
+     "amount is '1', text rather than a number"),
+]
+
+
+@pytest.mark.parametrize("column, run, message", TEXT_CASES)
+def test_text_in_any_column_is_refused_by_run(column, run, message):
+    # a numeric string is text, never read as the number it spells
+    runs = [((0.5, 0.5, 0.0), (1, 0, 0), 1, None), run]
+    want = [Violation(1, "non_numeric_entry", message)]
+    columns = [list(c) for c in zip(*runs)]
+    columns[3] = [math.nan if a is None else a for a in columns[3]]
+    as_array = np.array(columns[("values", "pwo", "block",
+                                 "amount").index(column)], dtype=object)
+    builds = [
+        lambda: BlockedDesign(3, "proportion", [Run(*r) for r in runs], 2),
+        lambda: BlockedDesign.from_arrays(3, "proportion", *columns, 2),
+        lambda: BlockedDesign.from_arrays(3, "proportion", *(
+            as_array if name == column else c for name, c in zip(
+                ("values", "pwo", "block", "amount"), columns)), 2)]
+    for build in builds:
+        with pytest.raises(InvalidDesign) as exc:
+            build()
+        assert exc.value.violations == want
+
+
+def test_a_numpy_string_column_is_text():
+    with pytest.raises(InvalidDesign) as exc:
+        BlockedDesign.from_arrays(3, "proportion", [(0.2, 0.3, 0.5)],
+                                  np.array([["1", "1", "1"]]), [1], None, 1)
+    assert exc.value.violations == [Violation(
+        0, "non_numeric_entry", "pwo entry 1 is '1', text rather than a number")]
+
+
+def test_records_are_read_only():
+    d = _design([Run((0.2, 0.3, 0.5), (1, 1, 1), 1)], n_blocks=1)
+    records = [(Run((0.5, 0.5), (1,)), "block"), (d, "m"), (d, "runs"),
+               (ModelSpec("scheffe_quadratic"), "family"),
+               (ModelMatrix(("a",), np.ones((2, 1))), "basis")]
+    for obj, name in records:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(obj, name)
+
+
+def test_specs_and_runs_compare_and_hash_by_value():
+    terms = ((1, (1, 2)), (np.int64(2), (2, 3)))
+    a = ModelSpec("scheffe_quadratic", True, terms, include_block=True)
+    b = ModelSpec("scheffe_quadratic", include_pwo=True,
+                  interaction_terms=[(1, (1, 2)), (2, (2, 3))],
+                  include_block=True)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != ModelSpec("scheffe_quadratic", True, terms)
+    assert Run([0.5, 0.5], [1], 2) == Run((0.5, 0.5), (1,), 2)
+    assert hash(Run([0.5, 0.5], [1], 2)) == hash(Run((0.5, 0.5), (1,), 2))
+    assert Run((0.5, 0.5), (1,), 2) != Run((0.5, 0.5), (1,), 1)
+    assert repr(a) == ("ModelSpec(family='scheffe_quadratic', "
+                       "include_pwo=True, interaction_terms=((1, (1, 2)), "
+                       "(2, (2, 3))), include_block=True)")
+
+
+def test_designs_compare_and_hash_by_identity():
+    runs = [Run((0.2, 0.3, 0.5), (1, 1, 1), 1)]
+    d, twin = _design(runs, n_blocks=1), _design(runs, n_blocks=1)
+    assert d == d and d != twin and {d: 1, twin: 2}[d] == 1
 
 
 def test_integral_float_entries_are_stored_as_integers():
@@ -224,8 +323,8 @@ def test_m_of_1_is_stored_and_reported():
         Violation(None, "component_count", "m must be >= 2, got 1")]
 
 
-PWO_ENTRIES = (-1, 0, 1, 2, 0.5, math.nan, 2**70)
-LABELS = (1, 2, 0, 2.5, 2**70)
+PWO_ENTRIES = (-1, 0, 1, 2, 0.5, math.nan, 2**70, 10**400)
+LABELS = (1, 2, 0, 2.5, 2**70, 10**400)
 
 
 @st.composite

@@ -1,10 +1,14 @@
-"""Start-up budget: no command loads any scipy module, the power commands
-eval and power included, and no oamix module imports scipy; catalog and
-expand load none of modelmat, evaluate, fit or numpy.ma, and fit does not
-load evaluate. No module reads the environment."""
+"""Start-up budget, per command: each subcommand runs in a fresh process
+and must not load the modules it does not run. No command loads scipy or
+dataclasses; catalog and expand load none of modelmat, linalg, evaluate,
+fit or numpy.ma; no analysis command loads catalog; check-blocks, eval,
+power and fit load no pwo; check-blocks loads neither linalg nor the power
+kernel (_nct); fit does not load evaluate. No oamix module imports scipy or
+dataclasses, and none reads the environment."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -15,53 +19,83 @@ import pytest
 import oamix
 
 SCRIPT = r"""
-import sys
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-def loaded(*names):
-    return [name for name in names if name in sys.modules]
-
+import json, sys
 import oamix
 assert not [m for m in sys.modules if m.startswith("oamix.")], "import oamix"
 from oamix.cli import main
-assert not scipy_modules(), ("import oamix", scipy_modules()[:5])
-
-model = ["--model", "scheffe-q"]
-for argv, unused in (
-        (["catalog", "czitrom-d", "-o", "base.csv"],
-         ("oamix.modelmat", "oamix.evaluate", "oamix.fit", "numpy.ma")),
-        (["expand", "-i", "base.csv", "-o", "design.csv"],
-         ("oamix.modelmat", "oamix.evaluate", "oamix.fit", "numpy.ma")),
-        (["fit", "-i", "design.csv", *model, "--response", "y.csv",
-          "-o", "coef.csv"], ("oamix.evaluate",)),
-        (["check-blocks", "-i", "design.csv", *model], ()),
-        (["fds", "-i", "design.csv", *model, "--samples", "50", "-o", "fds"],
-         ()),
-        (["eval", "-i", "design.csv", *model], ()),
-        (["power", "-i", "design.csv", *model, "--json"], ())):
-    assert main(argv) == 0, argv
-    assert not scipy_modules(), (argv[0], scipy_modules()[:5])
-    assert not loaded(*unused), (argv[0], loaded(*unused))
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
+MODEL = ["-i", "design.csv", "--model", "scheffe-q"]
+COMMANDS = {
+    "catalog": ["catalog", "czitrom-d", "-o", "out.csv"],
+    "expand": ["expand", "-i", "base.csv", "-o", "out.csv"],
+    "check-blocks": ["check-blocks", *MODEL, "--json"],
+    "eval": ["eval", *MODEL, "--json"],
+    "power": ["power", *MODEL, "--json"],
+    "fit": ["fit", *MODEL, "--response", "y.csv", "-o", "coef.csv"],
+    "fds": ["fds", *MODEL, "--samples", "50", "-o", "fds"],
+}
+LIGHT = ("oamix.modelmat", "oamix.linalg", "oamix.evaluate", "oamix.fit",
+         "numpy.ma")
+UNUSED = {  # command -> modules it must not load, besides scipy
+    "catalog": LIGHT,
+    "expand": LIGHT,
+    "check-blocks": ("oamix.catalog", "oamix.pwo", "oamix.linalg",
+                     "oamix._nct", "oamix.fit"),
+    "eval": ("oamix.catalog", "oamix.pwo", "oamix.fit"),
+    "power": ("oamix.catalog", "oamix.pwo", "oamix.fit"),
+    "fit": ("oamix.catalog", "oamix.pwo", "oamix.evaluate"),
+    "fds": ("oamix.catalog", "oamix._nct", "oamix.fit"),
+}
 
-def test_no_command_loads_scipy(tmp_path):
-    (tmp_path / "y.csv").write_text(
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A directory with an unordered base design, its expansion and a
+    response, written by the CLI in this process."""
+    from oamix.cli import main
+    tmp = tmp_path_factory.mktemp("commands")
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        assert main(["catalog", "czitrom-d", "-o", "base.csv"]) == 0
+        assert main(["expand", "-i", "base.csv", "-o", "design.csv"]) == 0
+    finally:
+        os.chdir(cwd)
+    (tmp / "y.csv").write_text(
         "y\n" + "\n".join(str(0.5 * k) for k in range(24)) + "\n")
+    return tmp
+
+
+def loaded_by(command: str, cwd) -> list[str]:
+    """The modules one command leaves loaded in a fresh process."""
     src = str(Path(oamix.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path,
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, *COMMANDS[command]], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, (command, proc.stderr)
+    return modules
 
 
-def test_no_module_imports_scipy():
-    imports = []
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_what_it_runs(command, workdir):
+    modules = loaded_by(command, workdir)
+    scipy = [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+    assert scipy == []
+    assert "dataclasses" not in modules
+    assert sorted(set(UNUSED[command]) & set(modules)) == []
+
+
+def _imports_of(package: str) -> list[str]:
+    """Every import of package or its submodules by an oamix module."""
+    found = []
     for path in sorted(Path(oamix.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -70,9 +104,17 @@ def test_no_module_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            imports += [f"{path.name}:{node.lineno} {name}" for name in names
-                        if name == "scipy" or name.startswith("scipy.")]
-    assert imports == []
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == package or name.startswith(package + ".")]
+    return found
+
+
+def test_no_module_imports_scipy():
+    assert _imports_of("scipy") == []
+
+
+def test_no_module_imports_dataclasses():
+    assert _imports_of("dataclasses") == []
 
 
 def test_no_module_reads_the_environment():

@@ -14,8 +14,9 @@ from oamix.catalog import CATALOG
 from oamix.core import (COMPONENT_AMOUNT_LINEAR, COMPONENT_AMOUNT_QUADRATIC,
                         K_QUADRATIC, SCHEFFE_LINEAR, SCHEFFE_QUADRATIC,
                         ModelSpec)
+from oamix._nct import power as _power
 from oamix.errors import InsufficientDF, SingularMatrix
-from oamix.evaluate import _power, criteria_report, power_table
+from oamix.evaluate import criteria_report, power_table
 from oamix.modelmat import (build_model_matrix, coded_model_matrix,
                             default_interaction_subset)
 
